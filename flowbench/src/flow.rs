@@ -364,7 +364,7 @@ pub fn explore_workload(
 /// The certify thresholds of each circuit. Three heavy keys are left
 /// out because the design they certify moves with the seed, and their
 /// SAT cost with it, so one key would set the run-to-run spread of
-/// `run_s`: Mult8 below 0.25 (0.1 took 58 000 to 92 000 conflicts over
+/// `run_p90_s`: Mult8 below 0.25 (0.1 took 58 000 to 92 000 conflicts over
 /// six seeds, 0.05 took 11 s) and MAC at 0.01 (70 000 to 157 000
 /// conflicts over seeds 1 to 10).
 fn certify_thresholds(name: &str) -> &'static [f64] {

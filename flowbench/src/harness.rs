@@ -1,6 +1,6 @@
 //! Workload-independent measurement core: a fixed op list run in
 //! seeded-shuffled passes, set-ups each followed by one untimed
-//! warm-up op, per-key medians, and the aggregates every workload
+//! warm-up op, per-key quantiles, and the aggregates every workload
 //! reports.
 //!
 //! An op is a closure that times its own region of interest (so work
@@ -45,6 +45,12 @@ impl KeyRow {
     /// every repeat failed).
     pub fn median_s(&self) -> Option<f64> {
         (!self.walls.is_empty()).then(|| median(&self.walls))
+    }
+
+    /// 90th-percentile wall seconds over the successful repeats
+    /// (`None` when every repeat failed).
+    pub fn p90_s(&self) -> Option<f64> {
+        (!self.walls.is_empty()).then(|| quantile(&self.walls, 0.9))
     }
 }
 
@@ -155,19 +161,20 @@ fn guarded(f: impl FnOnce() -> OpResult) -> OpResult {
 }
 
 impl Run {
-    /// Per-key medians of the keys with at least one success.
-    pub fn medians(&self) -> Vec<f64> {
-        self.rows.iter().filter_map(KeyRow::median_s).collect()
+    /// Per-key 90th percentiles of the keys with at least one success.
+    pub fn p90s(&self) -> Vec<f64> {
+        self.rows.iter().filter_map(KeyRow::p90_s).collect()
     }
 
-    /// `op_s`: geometric mean over keys of the per-key median.
-    pub fn op_s(&self) -> f64 {
-        geomean(&self.medians())
+    /// `op_p90_s`: geometric mean over keys of the per-key 90th
+    /// percentile.
+    pub fn op_p90_s(&self) -> f64 {
+        geomean(&self.p90s())
     }
 
-    /// `run_s`: sum over keys of the per-key median.
-    pub fn run_s(&self) -> f64 {
-        self.medians().iter().sum()
+    /// `run_p90_s`: sum over keys of the per-key 90th percentile.
+    pub fn run_p90_s(&self) -> f64 {
+        self.p90s().iter().sum()
     }
 
     /// `ok_frac`: ops that succeeded over ops attempted.
@@ -196,15 +203,25 @@ impl Run {
 ///
 /// Panics on an empty slice.
 pub fn median(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "median of no values");
+    quantile(values, 0.5)
+}
+
+/// The `p` quantile (`0 <= p <= 1`), interpolated linearly between
+/// the two nearest order statistics: rank `p * (n - 1)` of the sorted
+/// values, as numpy's default and `statistics.quantiles(...,
+/// method="inclusive")` compute it.
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+pub fn quantile(values: &[f64], p: f64) -> f64 {
+    assert!(!values.is_empty(), "quantile of no values");
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        (v[mid - 1] + v[mid]) / 2.0
-    }
+    let rank = p.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = (lo + 1).min(v.len() - 1);
+    v[lo] + (v[hi] - v[lo]) * (rank - lo as f64)
 }
 
 /// Geometric mean of positive values (0 for an empty slice).
@@ -273,6 +290,17 @@ mod tests {
     }
 
     #[test]
+    fn quantile_interpolates_between_order_statistics() {
+        let v = [5.0, 1.0, 4.0, 2.0, 3.0];
+        assert_eq!(quantile(&v, 0.0), 1.0);
+        assert_eq!(quantile(&v, 1.0), 5.0);
+        assert_eq!(quantile(&v, 0.5), 3.0);
+        assert!((quantile(&v, 0.9) - 4.6).abs() < 1e-12);
+        assert!((quantile(&[1.0, 2.0, 3.0], 0.9) - 2.8).abs() < 1e-12);
+        assert_eq!(quantile(&[7.0], 0.9), 7.0);
+    }
+
+    #[test]
     fn geomean_weights_every_key_equally() {
         assert!((geomean(&[1.0, 100.0]) - 10.0).abs() < 1e-12);
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
@@ -280,16 +308,19 @@ mod tests {
     }
 
     #[test]
-    fn per_key_medians_feed_geomean_and_sum() {
-        // Key 0 takes 1, 2, 3 s over the passes; key 1 takes 4 s each.
+    fn per_key_p90s_feed_geomean_and_sum() {
+        // Key 0 takes 1, 2, 3 s over the passes (p90 2.8 s); key 1
+        // takes 4 s each.
         let mut calls = [0usize; 2];
         let r = simple(&keys(2), 3, 7, |k| {
             calls[k] += 1;
             ok(if k == 0 { calls[0] as f64 } else { 4.0 }, "same")
         });
-        assert_eq!(r.medians(), vec![2.0, 4.0]);
-        assert!((r.op_s() - 8f64.sqrt()).abs() < 1e-12);
-        assert!((r.run_s() - 6.0).abs() < 1e-12);
+        assert_eq!(r.rows[0].median_s(), Some(2.0));
+        let p90s = r.p90s();
+        assert!((p90s[0] - 2.8).abs() < 1e-12 && p90s[1] == 4.0, "{p90s:?}");
+        assert!((r.op_p90_s() - 11.2f64.sqrt()).abs() < 1e-12);
+        assert!((r.run_p90_s() - 6.8).abs() < 1e-12);
         assert_eq!((r.attempted, r.failed), (6, 0));
         assert_eq!(r.ok_frac(), 1.0);
     }
@@ -349,7 +380,7 @@ mod tests {
             // The warm-up's time lands in set-up only.
             assert!(r.setup_s >= 0.02, "{}", r.setup_s);
             assert_eq!((r.attempted, r.failed), (6, 0));
-            assert_eq!(r.medians(), vec![10.0, 11.0]);
+            assert_eq!(r.p90s(), vec![10.0, 11.0]);
             assert!(r.rows.iter().all(|row| row.walls.len() == 3));
             assert_eq!(r.rows[0].fingerprint.as_deref(), Some("fp"));
         }

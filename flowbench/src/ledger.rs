@@ -154,12 +154,12 @@ pub struct LayerMetric {
     pub moves: &'static str,
 }
 
-const PROFILE: &str = "oneshot op_s,run_s; explore,certify setup_s";
-const EVALUATOR: &str = "oneshot op_s; explore setup_s";
-const EXPLORE: &str = "explore op_s,run_s; oneshot op_s";
-const SYNTH: &str = "oneshot op_s";
-const SAT: &str = "certify op_s,run_s";
-const POOL: &str = "oneshot,explore op_s";
+const PROFILE: &str = "oneshot op_p90_s,run_p90_s; explore,certify setup_s";
+const EVALUATOR: &str = "oneshot op_p90_s; explore setup_s";
+const EXPLORE: &str = "explore op_p90_s,run_p90_s; oneshot op_p90_s";
+const SYNTH: &str = "oneshot op_p90_s";
+const SAT: &str = "certify op_p90_s,run_p90_s";
+const POOL: &str = "oneshot,explore op_p90_s";
 
 /// Number of pool workers the flow runs with.
 const WORKERS: usize = crate::flow::THREADS;

@@ -40,7 +40,7 @@ const WORKLOADS: [Workload; 3] = [
     Workload {
         name: "oneshot",
         pass_s: 6.0,
-        setups: 3,
+        setups: 5,
     },
     Workload {
         name: "explore",
@@ -54,7 +54,8 @@ const WORKLOADS: [Workload; 3] = [
     },
 ];
 
-/// Every key repeats at least this often, so each has a median.
+/// Every key repeats at least this often, so each has a median and a
+/// 90th percentile.
 const MIN_PASSES: usize = 3;
 
 struct Args {
@@ -227,10 +228,11 @@ fn json_num(v: f64) -> String {
 fn print_rows(workload: &str, traced: bool, run: &Run) {
     for row in &run.rows {
         println!(
-            "{{\"row\":{},\"workload\":{},\"traced\":{traced},\"median_s\":{},\"walls_s\":[{}],\"fingerprint\":{}}}",
+            "{{\"row\":{},\"workload\":{},\"traced\":{traced},\"median_s\":{},\"p90_s\":{},\"walls_s\":[{}],\"fingerprint\":{}}}",
             json_str(&row.key),
             json_str(workload),
             json_num(row.median_s().unwrap_or(f64::NAN)),
+            json_num(row.p90_s().unwrap_or(f64::NAN)),
             row.walls.iter().map(|w| json_num(*w)).collect::<Vec<_>>().join(","),
             json_str(row.fingerprint.as_deref().unwrap_or("")),
         );
@@ -303,12 +305,12 @@ fn main() -> ExitCode {
             );
             metrics.push((lm.name, lm.value, lm.unit));
         }
-        let overhead = traced.op_s() / untraced.op_s();
+        let overhead = traced.op_p90_s() / untraced.op_p90_s();
         println!(
-            "{{\"ledger\":\"trace.op_s_ratio\",\"value\":{},\"unit\":\"ratio\",\"moves\":\"tracing overhead: traced / untraced {name} op_s\"}}",
+            "{{\"ledger\":\"trace.op_p90_s_ratio\",\"value\":{},\"unit\":\"ratio\",\"moves\":\"tracing overhead: traced / untraced {name} op_p90_s\"}}",
             json_num(overhead)
         );
-        metrics.push(("trace.op_s_ratio".into(), overhead, "ratio"));
+        metrics.push(("trace.op_p90_s_ratio".into(), overhead, "ratio"));
         let trace_path = out_dir().join(format!("trace-{name}-{}.json", args.seed));
         let written = std::fs::create_dir_all(out_dir())
             .and_then(|_| std::fs::write(&trace_path, ledger.tracer.chrome_json()));
@@ -321,15 +323,15 @@ fn main() -> ExitCode {
         let [area, power, delay] = run.mean_savings().unwrap_or([f64::NAN; 3]);
         let samples = run.rows.iter().map(|r| r.walls.len()).sum::<usize>();
         eprintln!(
-            "flowbench: {name} op_s={:.4} s over {} keys x {} repeats ({samples} samples)",
-            run.op_s(),
+            "flowbench: {name} op_p90_s={:.4} s over {} keys x {} repeats ({samples} samples)",
+            run.op_p90_s(),
             run.rows.len(),
             samples / run.rows.len().max(1)
         );
         metrics.extend([
             ("setup_s".to_string(), run.setup_s, "s"),
-            ("op_s".into(), run.op_s(), "s"),
-            ("run_s".into(), run.run_s(), "s"),
+            ("op_p90_s".into(), run.op_p90_s(), "s"),
+            ("run_p90_s".into(), run.run_p90_s(), "s"),
             ("ok_frac".into(), run.ok_frac(), "frac"),
             ("area_saved_pct".into(), area, "%"),
             ("power_saved_pct".into(), power, "%"),
