@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use blasys_bmf::Algebra;
 use blasys_circuits::multiplier;
-use blasys_core::{Blasys, Parallelism};
+use blasys_core::{Blasys, Parallelism, Pool};
 use blasys_obs::Registry;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -29,7 +29,11 @@ fn bench_flow(c: &mut Criterion) {
     // workers for window profiling + the exploration candidate sweep.
     for threads in [2usize, 4] {
         g.bench_function(format!("mult4_threads{threads}"), |b| {
-            b.iter(|| small_flow().threads(threads).run(&nl))
+            b.iter(|| {
+                small_flow()
+                    .parallelism(Parallelism::Threads(threads))
+                    .run(&nl)
+            })
         });
     }
     // Ablation: bound-pruned candidate probes off (the committed
@@ -49,7 +53,7 @@ fn bench_flow(c: &mut Criterion) {
     let nl6 = multiplier(6);
     g.bench_function("mult6_serial", |b| b.iter(|| small_flow().run(&nl6)));
     g.bench_function("mult6_threads4", |b| {
-        b.iter(|| small_flow().threads(4).run(&nl6))
+        b.iter(|| small_flow().parallelism(Parallelism::Threads(4)).run(&nl6))
     });
 
     // Ablation: decomposition size.
@@ -86,15 +90,13 @@ fn bench_profile_stage(c: &mut Criterion) {
     let mut g = c.benchmark_group("profile");
     g.sample_size(10);
     g.bench_function("mult4_serial", |b| {
-        b.iter(|| profile_partition(&nl, &part, &ProfileConfig::default()))
+        let pool = Pool::new(1);
+        b.iter(|| profile_partition(&nl, &part, &ProfileConfig::default(), &pool))
     });
     for threads in [2usize, 4, 8] {
         g.bench_function(format!("mult4_threads{threads}"), |b| {
-            let cfg = ProfileConfig {
-                parallelism: Parallelism::Threads(threads),
-                ..ProfileConfig::default()
-            };
-            b.iter(|| profile_partition(&nl, &part, &cfg))
+            let pool = Pool::new(threads);
+            b.iter(|| profile_partition(&nl, &part, &ProfileConfig::default(), &pool))
         });
     }
     g.finish();

@@ -34,7 +34,7 @@ use blasys_core::explore::{explore, ExploreConfig, StopCriterion};
 use blasys_core::montecarlo::{Evaluator, McConfig};
 use blasys_core::profile::{profile_partition, ProfileConfig};
 use blasys_core::qor::QorMetric;
-use blasys_core::{Json, Parallelism, TrajectoryPoint};
+use blasys_core::{Json, Pool, TrajectoryPoint};
 use blasys_decomp::{decompose, DecompConfig};
 use blasys_logic::blif::from_blif;
 use blasys_logic::Netlist;
@@ -74,7 +74,7 @@ fn bench_circuit(path: &str, samples: usize, reps: usize) -> (f64, Json) {
         seed: 0xB1A5_1234,
     };
     let metric = QorMetric::AvgRelative;
-    let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+    let profiles = profile_partition(&nl, &part, &ProfileConfig::default(), &Pool::default());
     let ev = Evaluator::new(&nl, &part, &mc);
     let n = ev.network().len();
     // The step-1 exploration candidates: each cluster at degree m−1
@@ -186,19 +186,16 @@ fn bench_circuit(path: &str, samples: usize, reps: usize) -> (f64, Json) {
     // trajectories throughout (same committed tables, same QoR).
     let mut results: Vec<(String, Vec<TrajectoryPoint>)> = Vec::new();
     let mut t_explore_serial = 0.0f64;
-    for (par, workers, par_name) in [
-        (Parallelism::Serial, 1u64, "serial"),
-        (Parallelism::Threads(4), 4, "4 threads"),
-    ] {
+    for (workers, par_name) in [(1u64, "serial"), (4, "4 threads")] {
+        let pool = Pool::new(workers as usize);
         for prune in [false, true] {
             let mut ev = Evaluator::new(&nl, &part, &mc);
             let cfg = ExploreConfig {
                 stop: StopCriterion::Exhaust,
-                parallelism: par,
                 prune,
                 ..ExploreConfig::default()
             };
-            let (t, traj) = time(|| explore(&mut ev, &profiles, &cfg));
+            let (t, traj) = time(|| explore(&mut ev, &profiles, &cfg, &pool));
             println!(
                 "  explore ({par_name:<9} prune {}) {:>9.1} ms  {} steps",
                 if prune { "on " } else { "off" },

@@ -52,8 +52,8 @@
 //! [`ProbeState`](crate::montecarlo::ProbeState) per worker. The
 //! winner is reduced deterministically (lowest error, then lowest
 //! branch, then lowest cluster index), which makes every trajectory
-//! **bit-identical** for every [`Parallelism`] setting: the serial
-//! path is the same computation with one worker.
+//! **bit-identical** at every pool size: the serial path is the same
+//! computation on a one-worker [`Pool`].
 //!
 //! # Bound-pruned probes
 //!
@@ -88,7 +88,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use blasys_par::{Parallelism, Workers};
+use blasys_par::Pool;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -165,9 +165,6 @@ pub struct ExploreConfig {
     pub metric: QorMetric,
     /// Stop criterion.
     pub stop: StopCriterion,
-    /// Worker threads for the per-step candidate sweep. The committed
-    /// trajectory is bit-identical for every setting.
-    pub parallelism: Parallelism,
     /// Abandon candidate probes block-wise once their partial error
     /// provably exceeds the best candidate seen this step (see the
     /// module docs). Pure wall-clock optimization: the trajectory is
@@ -182,7 +179,6 @@ impl Default for ExploreConfig {
         ExploreConfig {
             metric: QorMetric::AvgRelative,
             stop: StopCriterion::Exhaust,
-            parallelism: Parallelism::default(),
             prune: true,
             explorer: Explorer::Greedy,
         }
@@ -237,14 +233,17 @@ fn model_depth(profiles: &[SubcircuitProfile], network: &TableNetwork, degrees: 
 /// see [`ExploreConfig::explorer`] for the other engines).
 ///
 /// `evaluator` must be freshly built (exact tables installed);
-/// `profiles` must come from the same partition. Returns the recorded
-/// trajectory; the first point is the exact design.
+/// `profiles` must come from the same partition. Candidate sweeps run
+/// on `pool`; the trajectory is bit-identical at every pool size.
+/// Returns the recorded trajectory; the first point is the exact
+/// design.
 pub fn explore(
     evaluator: &mut Evaluator,
     profiles: &[SubcircuitProfile],
     cfg: &ExploreConfig,
+    pool: &Pool,
 ) -> Vec<TrajectoryPoint> {
-    explore_full(evaluator, profiles, cfg).into_trajectory()
+    explore_full(evaluator, profiles, cfg, pool).into_trajectory()
 }
 
 /// Like [`explore`], but returns the full [`Exploration`]: the stop
@@ -255,12 +254,13 @@ pub fn explore_full(
     evaluator: &mut Evaluator,
     profiles: &[SubcircuitProfile],
     cfg: &ExploreConfig,
+    pool: &Pool,
 ) -> Exploration {
     explore_ctx(
         evaluator,
         profiles,
         cfg,
-        Workers::Transient(cfg.parallelism),
+        pool,
         &FlowContext::NONE,
         &Budget::default(),
     )
@@ -269,21 +269,21 @@ pub fn explore_full(
 /// The session-aware exploration core behind [`explore`] and
 /// [`FlowSession::explore`](crate::session::FlowSession::explore):
 /// dispatches to the configured [`Explorer`] engine, runs candidate
-/// sweeps on `workers` (`cfg.parallelism` only sizes the probe-state
-/// set), streams committed points through the context's observer, and
-/// stops at step boundaries on cancellation or an exceeded budget — so
-/// a truncated trajectory is always a prefix of the uninterrupted one.
+/// sweeps on `pool`, streams committed points through the context's
+/// observer, and stops at step boundaries on cancellation or an
+/// exceeded budget — so a truncated trajectory is always a prefix of
+/// the uninterrupted one.
 pub(crate) fn explore_ctx(
     evaluator: &mut Evaluator,
     profiles: &[SubcircuitProfile],
     cfg: &ExploreConfig,
-    workers: Workers<'_>,
+    pool: &Pool,
     ctx: &FlowContext<'_>,
     budget: &Budget,
 ) -> Exploration {
     match cfg.explorer {
-        Explorer::Greedy => greedy_ctx(evaluator, profiles, cfg, workers, ctx, budget, None),
-        Explorer::Beam { width } => beam_ctx(evaluator, profiles, cfg, width, workers, ctx, budget),
+        Explorer::Greedy => greedy_ctx(evaluator, profiles, cfg, pool, ctx, budget, None),
+        Explorer::Beam { width } => beam_ctx(evaluator, profiles, cfg, width, pool, ctx, budget),
         Explorer::Anneal(schedule) => anneal_ctx(evaluator, profiles, cfg, schedule, ctx, budget),
         Explorer::Pareto3 => {
             let mut archive = Vec::new();
@@ -291,7 +291,7 @@ pub(crate) fn explore_ctx(
                 evaluator,
                 profiles,
                 cfg,
-                workers,
+                pool,
                 ctx,
                 budget,
                 Some(&mut archive),
@@ -316,7 +316,7 @@ fn greedy_ctx(
     evaluator: &mut Evaluator,
     profiles: &[SubcircuitProfile],
     cfg: &ExploreConfig,
-    workers: Workers<'_>,
+    pool: &Pool,
     ctx: &FlowContext<'_>,
     budget: &Budget,
     mut archive: Option<&mut Vec<TradeoffPoint>>,
@@ -354,7 +354,7 @@ fn greedy_ctx(
 
     // One probe overlay per worker, reused across every step (epoch
     // stamping makes reuse across commits sound — see `ProbeState`).
-    let mut probe_states: Vec<_> = (0..workers.worker_count().min(n).max(1))
+    let mut probe_states: Vec<_> = (0..pool.threads().min(n).max(1))
         .map(|_| evaluator.probe_state())
         .collect();
 
@@ -396,7 +396,7 @@ fn greedy_ctx(
         let tighten = archive.is_none();
         let bound = AtomicU64::new(threshold.to_bits());
         let probes: Vec<Option<(f64, usize, QorReport)>> =
-            workers.run_states(candidates.len(), &mut probe_states, |state, i| {
+            pool.run_states(candidates.len(), &mut probe_states, |state, i| {
                 let ci = candidates[i];
                 let rows = &profiles[ci].variant(degrees[ci] - 1).table_rows;
                 if cfg.prune {
@@ -493,7 +493,7 @@ fn beam_ctx(
     profiles: &[SubcircuitProfile],
     cfg: &ExploreConfig,
     width: usize,
-    workers: Workers<'_>,
+    pool: &Pool,
     ctx: &FlowContext<'_>,
     budget: &Budget,
 ) -> Exploration {
@@ -522,7 +522,7 @@ fn beam_ctx(
     // branch evaluator clones the same network layout), so one set
     // serves the whole frontier's pooled sweep.
     let max_expansions = width * n;
-    let mut probe_states: Vec<_> = (0..workers.worker_count().min(max_expansions).max(1))
+    let mut probe_states: Vec<_> = (0..pool.threads().min(max_expansions).max(1))
         .map(|_| evaluator.probe_state())
         .collect();
 
@@ -572,7 +572,7 @@ fn beam_ctx(
         let bound = AtomicU64::new(threshold.to_bits());
         let frontier_ref = &frontier;
         let probes: Vec<Option<(f64, QorReport)>> =
-            workers.run_states(expansions.len(), &mut probe_states, |state, i| {
+            pool.run_states(expansions.len(), &mut probe_states, |state, i| {
                 let (b, ci) = expansions[i];
                 let branch = &frontier_ref[b];
                 let rows = &profiles[ci].variant(branch.degrees[ci] - 1).table_rows;
@@ -849,7 +849,7 @@ mod tests {
         let s = add(&mut nl, &a, &b);
         mark_output_bus(&mut nl, "s", &s);
         let part = decompose(&nl, &DecompConfig::default());
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_partition(&nl, &part, &ProfileConfig::default(), &Pool::default());
         let ev = Evaluator::new(
             &nl,
             &part,
@@ -861,10 +861,19 @@ mod tests {
         (nl, profiles, ev)
     }
 
+    /// [`explore`] on a pool sized by `BLASYS_THREADS`.
+    fn explore_env(
+        ev: &mut Evaluator,
+        profiles: &[SubcircuitProfile],
+        cfg: &ExploreConfig,
+    ) -> Vec<TrajectoryPoint> {
+        explore(ev, profiles, cfg, &Pool::default())
+    }
+
     #[test]
     fn trajectory_starts_exact_and_walks_down() {
         let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore_env(&mut ev, &profiles, &ExploreConfig::default());
         assert!(traj.len() > 1);
         assert_eq!(traj[0].qor.avg_relative, 0.0);
         assert!(traj[0].changed_cluster.is_none());
@@ -879,7 +888,7 @@ mod tests {
     #[test]
     fn each_step_decrements_exactly_one_degree() {
         let (_nl, profiles, mut ev) = setup(6);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore_env(&mut ev, &profiles, &ExploreConfig::default());
         for w in traj.windows(2) {
             let before: usize = w[0].degrees.iter().sum();
             let after: usize = w[1].degrees.iter().sum();
@@ -893,7 +902,7 @@ mod tests {
     #[test]
     fn model_area_shrinks_overall() {
         let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore_env(&mut ev, &profiles, &ExploreConfig::default());
         let first = traj.first().unwrap().model_area_um2;
         let last = traj.last().unwrap().model_area_um2;
         assert!(
@@ -906,7 +915,7 @@ mod tests {
     #[test]
     fn model_depth_is_positive_and_bounded_by_serial_sum() {
         let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore_env(&mut ev, &profiles, &ExploreConfig::default());
         for p in &traj {
             assert!(p.model_depth_ns > 0.0, "step {}", p.step);
             let serial_sum: f64 = profiles
@@ -926,7 +935,7 @@ mod tests {
             stop: StopCriterion::ErrorThreshold(0.05),
             ..ExploreConfig::default()
         };
-        let traj = explore(&mut ev, &profiles, &cfg);
+        let traj = explore_env(&mut ev, &profiles, &cfg);
         for p in &traj {
             assert!(p.qor.avg_relative <= 0.05 + 1e-12);
         }
@@ -939,7 +948,7 @@ mod tests {
     #[test]
     fn best_under_threshold_picks_deepest_point() {
         let (_nl, profiles, mut ev) = setup(6);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore_env(&mut ev, &profiles, &ExploreConfig::default());
         let best = best_under_threshold(&traj, QorMetric::AvgRelative, 0.02).unwrap();
         assert!(best.qor.avg_relative <= 0.02);
         // No later point is also under the threshold with smaller area
@@ -954,16 +963,9 @@ mod tests {
     fn parallel_sweep_is_bit_identical_to_serial() {
         let (_nl, profiles, mut ev_serial) = setup(8);
         let (_nl2, _profiles2, mut ev_par) = setup(8);
-        let serial_cfg = ExploreConfig {
-            parallelism: Parallelism::Serial,
-            ..ExploreConfig::default()
-        };
-        let par_cfg = ExploreConfig {
-            parallelism: Parallelism::Threads(4),
-            ..ExploreConfig::default()
-        };
-        let serial = explore(&mut ev_serial, &profiles, &serial_cfg);
-        let parallel = explore(&mut ev_par, &profiles, &par_cfg);
+        let cfg = ExploreConfig::default();
+        let serial = explore(&mut ev_serial, &profiles, &cfg, &Pool::new(1));
+        let parallel = explore(&mut ev_par, &profiles, &cfg, &Pool::new(4));
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.changed_cluster, p.changed_cluster);
@@ -987,7 +989,7 @@ mod tests {
     #[test]
     fn pruned_sweep_is_bit_identical_to_unpruned() {
         for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
-            for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+            for pool in [Pool::new(1), Pool::new(4)] {
                 let (_nl, profiles, mut ev_pruned) = setup(8);
                 let (_n2, _p2, mut ev_plain) = setup(8);
                 let pruned = explore(
@@ -995,20 +997,20 @@ mod tests {
                     &profiles,
                     &ExploreConfig {
                         stop,
-                        parallelism,
                         prune: true,
                         ..ExploreConfig::default()
                     },
+                    &pool,
                 );
                 let plain = explore(
                     &mut ev_plain,
                     &profiles,
                     &ExploreConfig {
                         stop,
-                        parallelism,
                         prune: false,
                         ..ExploreConfig::default()
                     },
+                    &pool,
                 );
                 assert_same_trajectory(&pruned, &plain);
             }
@@ -1020,7 +1022,7 @@ mod tests {
         for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
             let (_nl, profiles, mut ev_greedy) = setup(8);
             let (_n2, _p2, mut ev_beam) = setup(8);
-            let greedy = explore(
+            let greedy = explore_env(
                 &mut ev_greedy,
                 &profiles,
                 &ExploreConfig {
@@ -1028,7 +1030,7 @@ mod tests {
                     ..ExploreConfig::default()
                 },
             );
-            let beam = explore(
+            let beam = explore_env(
                 &mut ev_beam,
                 &profiles,
                 &ExploreConfig {
@@ -1048,8 +1050,8 @@ mod tests {
         // always contains the greedy child among its candidates.
         let (_nl, profiles, mut ev_greedy) = setup(8);
         let (_n2, _p2, mut ev_beam) = setup(8);
-        let greedy = explore(&mut ev_greedy, &profiles, &ExploreConfig::default());
-        let beam = explore(
+        let greedy = explore_env(&mut ev_greedy, &profiles, &ExploreConfig::default());
+        let beam = explore_env(
             &mut ev_beam,
             &profiles,
             &ExploreConfig {
@@ -1082,8 +1084,8 @@ mod tests {
         };
         let (_nl, profiles, mut ev_a) = setup(8);
         let (_n2, _p2, mut ev_b) = setup(8);
-        let a = explore(&mut ev_a, &profiles, &cfg);
-        let b = explore(&mut ev_b, &profiles, &cfg);
+        let a = explore_env(&mut ev_a, &profiles, &cfg);
+        let b = explore_env(&mut ev_b, &profiles, &cfg);
         assert_same_trajectory(&a, &b);
         // Every accepted state respects the feasibility gate.
         for p in &a {
@@ -1095,7 +1097,7 @@ mod tests {
     fn pareto3_trajectory_matches_greedy_and_surfaces_points() {
         let (_nl, profiles, mut ev_greedy) = setup(8);
         let (_n2, _p2, mut ev_p3) = setup(8);
-        let greedy = explore(&mut ev_greedy, &profiles, &ExploreConfig::default());
+        let greedy = explore_env(&mut ev_greedy, &profiles, &ExploreConfig::default());
         let cfg = ExploreConfig {
             explorer: Explorer::Pareto3,
             ..ExploreConfig::default()
@@ -1104,7 +1106,7 @@ mod tests {
             &mut ev_p3,
             &profiles,
             &cfg,
-            Workers::Transient(Parallelism::Serial),
+            &Pool::new(1),
             &FlowContext::NONE,
             &Budget::default(),
         );
@@ -1121,7 +1123,7 @@ mod tests {
         // sequence should trend upward (allow tiny non-monotonicity from
         // error interaction).
         let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore_env(&mut ev, &profiles, &ExploreConfig::default());
         let first_third = traj[traj.len() / 3].qor.avg_relative;
         let last = traj.last().unwrap().qor.avg_relative;
         assert!(last >= first_third);

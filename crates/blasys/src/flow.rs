@@ -74,15 +74,6 @@ impl Blasys {
         self
     }
 
-    /// Shorthand for [`Blasys::parallelism`]`(Parallelism::Threads(n))`.
-    /// `n = 1` selects the serial path and `n = 0` means one worker
-    /// per hardware thread, matching the `--threads` flag and the
-    /// `BLASYS_THREADS` environment variable.
-    pub fn threads(mut self, n: usize) -> Blasys {
-        self.config = self.config.threads(n);
-        self
-    }
-
     /// Attach a [`FlowObserver`] streaming stage, per-window, and
     /// per-trajectory-point progress out of the run. Takes any
     /// observer by value — pass an `Arc<O>` clone to keep a readable
@@ -361,10 +352,15 @@ impl std::error::Error for FlowError {}
 /// the netlist of trajectory step 0, produced without running the
 /// Monte-Carlo evaluator. Used by the SAT benchmarks and acceptance
 /// tests to obtain a structurally different but functionally identical
-/// design.
+/// design. Profiling runs on a pool sized by `BLASYS_THREADS`.
 pub fn exact_resynthesis(nl: &Netlist, decomp: &DecompConfig) -> Netlist {
     let partition = decompose(nl, decomp);
-    let profiles = profile_partition(nl, &partition, &ProfileConfig::default());
+    let profiles = profile_partition(
+        nl,
+        &partition,
+        &ProfileConfig::default(),
+        &blasys_par::Pool::default(),
+    );
     let impls: Vec<ClusterImpl> = profiles
         .iter()
         .map(|p| ClusterImpl::Replace(p.exact().netlist.clone()))

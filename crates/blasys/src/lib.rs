@@ -120,7 +120,7 @@ pub mod report;
 pub mod session;
 
 pub use blasys_lint as lint;
-pub use blasys_par::Parallelism;
+pub use blasys_par::{Parallelism, Pool};
 pub use certify::{prove_exact, CertifiedPoint};
 pub use explore::{AnnealSchedule, ExploreConfig, Explorer, StopCriterion, TrajectoryPoint};
 pub use flow::{Blasys, BlasysResult, FlowError};

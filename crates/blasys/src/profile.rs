@@ -10,7 +10,7 @@
 use blasys_bmf::{metrics, Algebra, Algorithm, Factorizer};
 use blasys_decomp::{cluster_truth_table, extract_cluster_netlist, Partition};
 use blasys_logic::{Netlist, TruthTable};
-use blasys_par::{Parallelism, Workers};
+use blasys_par::Pool;
 use blasys_synth::estimate::{estimate, EstimateConfig};
 use blasys_synth::{synthesize_tt, CellLibrary, EspressoConfig};
 
@@ -96,10 +96,6 @@ pub struct ProfileConfig {
     /// are kept and the lowest-error one wins (falling back to the
     /// smallest one when none saves area).
     pub hybrid: bool,
-    /// Worker threads for per-window profiling. Windows are profiled
-    /// independently (BMF ladder + variant synthesis per cluster), so
-    /// the resulting profiles are identical for every setting.
-    pub parallelism: Parallelism,
 }
 
 impl Default for ProfileConfig {
@@ -111,7 +107,6 @@ impl Default for ProfileConfig {
             estimate: EstimateConfig::default(),
             output_weights: None,
             hybrid: true,
-            parallelism: Parallelism::default(),
         }
     }
 }
@@ -120,38 +115,32 @@ impl Default for ProfileConfig {
 ///
 /// Windows are independent — each worker extracts its cluster's truth
 /// table and reference netlist from the shared (read-only) inputs and
-/// builds the full degree ladder — so they profile in parallel under
-/// `cfg.parallelism`, with identical results at any worker count.
+/// builds the full degree ladder — so they profile in parallel on
+/// `pool`, with identical results at any worker count.
 pub fn profile_partition(
     nl: &Netlist,
     partition: &Partition,
     cfg: &ProfileConfig,
+    pool: &Pool,
 ) -> Vec<SubcircuitProfile> {
-    profile_partition_ctx(
-        nl,
-        partition,
-        cfg,
-        Workers::Transient(cfg.parallelism),
-        &FlowContext::NONE,
-    )
-    .expect("profiling without a cancel token or deadline cannot fail")
+    profile_partition_ctx(nl, partition, cfg, pool, &FlowContext::NONE)
+        .expect("profiling without a cancel token or deadline cannot fail")
 }
 
 /// The session-aware core behind [`profile_partition`] and
 /// [`FlowSession::profile`](crate::session::FlowSession::profile):
-/// runs the per-window work on `workers` (`cfg.parallelism` is ignored
-/// in favor of it), reports each completed window to the context's
-/// observer, and aborts between windows when the context's token is
-/// tripped or its deadline passes.
+/// runs the per-window work on `pool`, reports each completed window
+/// to the context's observer, and aborts between windows when the
+/// context's token is tripped or its deadline passes.
 pub(crate) fn profile_partition_ctx(
     nl: &Netlist,
     partition: &Partition,
     cfg: &ProfileConfig,
-    workers: Workers<'_>,
+    pool: &Pool,
     ctx: &FlowContext<'_>,
 ) -> Result<Vec<SubcircuitProfile>, FlowError> {
     let total = partition.len();
-    let window = |ci: usize, inner: Workers<'_>| -> Option<SubcircuitProfile> {
+    let window = |ci: usize| -> Option<SubcircuitProfile> {
         if ctx.cancelled() || ctx.expired() {
             return None;
         }
@@ -159,22 +148,21 @@ pub(crate) fn profile_partition_ctx(
         let cluster = &partition.clusters()[ci];
         let tt = cluster_truth_table(nl, cluster);
         let reference = extract_cluster_netlist(nl, cluster, &format!("s{ci}_ref"));
-        let profile = profile_window_with_reference_on(ci, &tt, Some(reference), cfg, inner);
+        let profile = profile_window_with_reference_on(ci, &tt, Some(reference), cfg, pool);
         ctx.window_profiled(&profile, total);
         Some(profile)
     };
     // Scheduling: with at least one window per worker, parallelize
-    // across windows (coarse grains, inner BMF serial). With fewer
-    // windows than workers, windows run serially and the parallelism
-    // moves *inside* each window's BMF candidate scans. Factorizations
-    // are bit-identical at any worker count, so both schedules produce
-    // the same profiles.
-    let profiles: Vec<Option<SubcircuitProfile>> = if total >= workers.worker_count() {
-        workers.run(total, |ci| {
-            window(ci, Workers::Transient(Parallelism::Serial))
-        })
+    // across windows (coarse grains; the BMF scans see they run on a
+    // worker and stay serial). With fewer windows than workers,
+    // windows run serially and the parallelism moves *inside* each
+    // window's BMF candidate scans. Factorizations are bit-identical
+    // at any worker count, so both schedules produce the same
+    // profiles.
+    let profiles: Vec<Option<SubcircuitProfile>> = if total >= pool.threads() {
+        pool.run(total, window)
     } else {
-        (0..total).map(|ci| window(ci, workers)).collect()
+        (0..total).map(window).collect()
     };
     if profiles.iter().any(Option::is_none) {
         return Err(if ctx.cancelled() {
@@ -201,25 +189,18 @@ pub fn profile_window_with_reference(
     reference: Option<Netlist>,
     cfg: &ProfileConfig,
 ) -> SubcircuitProfile {
-    profile_window_with_reference_on(
-        cluster,
-        tt,
-        reference,
-        cfg,
-        Workers::Transient(Parallelism::Serial),
-    )
+    profile_window_with_reference_on(cluster, tt, reference, cfg, &Pool::new(1))
 }
 
-/// [`profile_window_with_reference`] with an explicit execution
-/// context for the BMF candidate scans (see
-/// [`Factorizer::factorize_on`]). Profiles are bit-identical at any
-/// worker count.
+/// [`profile_window_with_reference`] with the BMF candidate scans on
+/// a worker pool (see [`Factorizer::factorize_on`]). Profiles are
+/// bit-identical at any worker count.
 pub fn profile_window_with_reference_on(
     cluster: usize,
     tt: &TruthTable,
     reference: Option<Netlist>,
     cfg: &ProfileConfig,
-    workers: Workers<'_>,
+    pool: &Pool,
 ) -> SubcircuitProfile {
     let k = tt.num_inputs();
     let m = tt.num_outputs();
@@ -301,7 +282,7 @@ pub fn profile_window_with_reference_on(
 
         let mut facs: Vec<blasys_bmf::Factorization> = candidates
             .iter()
-            .map(|fz| fz.factorize_on(&matrix, f, workers))
+            .map(|fz| fz.factorize_on(&matrix, f, pool))
             .collect();
         if prev_fac.degree() == f + 1 && f + 1 >= 2 {
             facs.push(blasys_bmf::truncated(
@@ -433,7 +414,7 @@ mod tests {
     fn profiles_cover_every_cluster_and_degree() {
         let nl = adder(6);
         let part = decompose(&nl, &DecompConfig::default());
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_partition(&nl, &part, &ProfileConfig::default(), &Pool::default());
         assert_eq!(profiles.len(), part.len());
         for (p, c) in profiles.iter().zip(part.clusters()) {
             assert_eq!(p.num_outputs, c.outputs().len());
@@ -451,7 +432,7 @@ mod tests {
     fn exact_variant_has_zero_local_error() {
         let nl = adder(5);
         let part = decompose(&nl, &DecompConfig::default());
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_partition(&nl, &part, &ProfileConfig::default(), &Pool::default());
         for p in &profiles {
             assert_eq!(p.exact().local_hamming, 0);
             assert_eq!(p.exact().degree, p.num_outputs);
@@ -462,7 +443,7 @@ mod tests {
     fn local_error_nonincreasing_in_degree() {
         let nl = adder(6);
         let part = decompose(&nl, &DecompConfig::default());
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_partition(&nl, &part, &ProfileConfig::default(), &Pool::default());
         for p in &profiles {
             for w in p.variants.windows(2) {
                 assert!(
@@ -485,13 +466,10 @@ mod tests {
         // serial profiles bit for bit.
         let nl = adder(5);
         let part = decompose(&nl, &DecompConfig::default());
-        let serial = profile_partition(&nl, &part, &ProfileConfig::default());
+        let cfg = ProfileConfig::default();
+        let serial = profile_partition(&nl, &part, &cfg, &Pool::new(1));
         for threads in [2, part.len() + 3] {
-            let cfg = ProfileConfig {
-                parallelism: Parallelism::Threads(threads),
-                ..ProfileConfig::default()
-            };
-            let par = profile_partition(&nl, &part, &cfg);
+            let par = profile_partition(&nl, &part, &cfg, &Pool::new(threads));
             assert_eq!(serial.len(), par.len());
             for (s, p) in serial.iter().zip(&par) {
                 for (vs, vp) in s.variants.iter().zip(&p.variants) {
@@ -515,7 +493,7 @@ mod tests {
             factorizer: Factorizer::new().with_counters(counters),
             ..ProfileConfig::default()
         };
-        let _ = profile_partition(&nl, &part, &cfg);
+        let _ = profile_partition(&nl, &part, &cfg, &Pool::default());
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter("bmf.windows_factorized"),
@@ -528,7 +506,7 @@ mod tests {
     fn variant_netlist_realizes_its_table() {
         let nl = adder(4);
         let part = decompose(&nl, &DecompConfig::default());
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_partition(&nl, &part, &ProfileConfig::default(), &Pool::default());
         for p in &profiles {
             for v in &p.variants {
                 let tt = TruthTable::from_netlist(&v.netlist);

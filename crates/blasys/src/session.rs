@@ -74,7 +74,7 @@ use blasys_bmf::{Algebra, FactorizeCounters, Factorizer};
 use blasys_decomp::{decompose, DecompConfig, Partition};
 use blasys_logic::Netlist;
 use blasys_obs::Registry;
-use blasys_par::{Parallelism, Pool, PoolMetrics, Workers};
+use blasys_par::{Parallelism, Pool, PoolMetrics};
 use blasys_synth::estimate::EstimateConfig;
 use blasys_synth::{CellLibrary, EspressoConfig};
 
@@ -578,16 +578,6 @@ impl FlowConfig {
         self
     }
 
-    /// Shorthand for [`FlowConfig::parallelism`] (`0` = auto, `1` =
-    /// serial).
-    pub fn threads(self, n: usize) -> FlowConfig {
-        self.parallelism(match n {
-            0 => Parallelism::Auto,
-            1 => Parallelism::Serial,
-            n => Parallelism::Threads(n),
-        })
-    }
-
     /// Attach a progress observer to every stage of the session.
     ///
     /// Takes any observer by value — including an `Arc<O>` clone when
@@ -613,8 +603,8 @@ impl FlowConfig {
 
     /// Attach a metrics registry. The session registers and updates
     /// `flow.*` stage wall-time counters, `qor.*` engine counters, and
-    /// (for pooled sessions) `pool.*` worker metrics on it; snapshot
-    /// the registry whenever you like. See
+    /// (with more than one worker) `pool.*` worker metrics on it;
+    /// snapshot the registry whenever you like. See
     /// [`crate::obs`](crate::obs#counter-determinism) for which
     /// counters are deterministic.
     pub fn metrics(mut self, registry: Arc<Registry>) -> FlowConfig {
@@ -677,8 +667,9 @@ pub struct FlowSession<Stage> {
     cfg: FlowConfig,
     original: Netlist,
     partition: Partition,
-    /// Persistent worker pool, built once at open (`None` = serial).
-    pool: Option<Pool>,
+    /// Persistent worker pool, built once at open (one worker =
+    /// inline serial execution).
+    pool: Pool,
     stage: Stage,
 }
 
@@ -696,13 +687,6 @@ impl<Stage> FlowSession<Stage> {
     /// The session configuration.
     pub fn config(&self) -> &FlowConfig {
         &self.cfg
-    }
-
-    fn workers(&self) -> Workers<'_> {
-        match &self.pool {
-            Some(pool) => Workers::Pooled(pool),
-            None => Workers::Transient(Parallelism::Serial),
-        }
     }
 }
 
@@ -751,14 +735,15 @@ impl FlowSession<Decomposed> {
                 panic!("decompose produced an inconsistent partition: {diags:?}");
             }
         }
+        // Only a pool with workers registers `pool.*` metrics: a serial
+        // session runs inline and has no scheduling to observe.
         let workers = cfg.parallelism.worker_count();
-        let pool = (workers >= 2).then(|| {
-            let metrics = cfg
-                .metrics
-                .as_ref()
-                .map(|r| PoolMetrics::register(r, workers));
-            Pool::new_with_metrics(workers, metrics)
-        });
+        let metrics = cfg
+            .metrics
+            .as_ref()
+            .filter(|_| workers >= 2)
+            .map(|r| PoolMetrics::register(r, workers));
+        let pool = Pool::new_with_metrics(workers, metrics);
         Ok(FlowSession {
             cfg,
             original: nl.clone(),
@@ -808,7 +793,6 @@ impl FlowSession<Decomposed> {
             estimate: cfg.estimate,
             output_weights,
             hybrid: cfg.hybrid,
-            parallelism: cfg.parallelism,
         };
         let ctx = FlowContext {
             observer: cfg.observer.as_deref(),
@@ -816,13 +800,9 @@ impl FlowSession<Decomposed> {
             deadline: cfg.wall_budget.map(|d| Instant::now() + d),
             registry: cfg.metrics.as_deref(),
         };
-        let workers = match &pool {
-            Some(pool) => Workers::Pooled(pool),
-            None => Workers::Transient(Parallelism::Serial),
-        };
         cfg.observe(|o| o.on_stage_start(FlowStage::Profile));
         let t0 = Instant::now();
-        let profiles = profile_partition_ctx(&original, &partition, &profile_cfg, workers, &ctx)?;
+        let profiles = profile_partition_ctx(&original, &partition, &profile_cfg, &pool, &ctx)?;
         if let Some(r) = &cfg.metrics {
             r.counter("flow.profile.wall_ns")
                 .add(t0.elapsed().as_nanos() as u64);
@@ -921,7 +901,6 @@ impl FlowSession<Profiled> {
             metric: spec.metric,
             stop: spec.stop,
             prune: spec.prune,
-            parallelism: self.cfg.parallelism,
             explorer,
         };
         let ctx = FlowContext {
@@ -938,7 +917,7 @@ impl FlowSession<Profiled> {
             &mut evaluator,
             &self.stage.profiles,
             &cfg,
-            self.workers(),
+            &self.pool,
             &ctx,
             &spec.budget,
         );

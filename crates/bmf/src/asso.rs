@@ -19,7 +19,7 @@
 //! pass (exact per-row usage re-solve, coordinate-descent basis
 //! update).
 
-use blasys_par::{in_worker, Parallelism, Workers};
+use blasys_par::{in_worker, Pool};
 
 use crate::matrix::BoolMatrix;
 use crate::metrics::weighted_error;
@@ -111,33 +111,32 @@ impl WsumTable {
 ///
 /// Panics if `f == 0` or `m` has zero columns.
 pub fn asso(m: &BoolMatrix, f: usize, params: &AssoParams) -> (BoolMatrix, BoolMatrix) {
-    asso_on(m, f, params, Workers::Transient(Parallelism::Serial))
+    asso_on(m, f, params, &Pool::new(1))
 }
 
-/// [`asso`] with an explicit execution context for the candidate
-/// scoring loop.
+/// [`asso`] with the candidate scoring loop on a worker pool.
 ///
 /// Candidate columns are scored independently per greedy round, so the
 /// scan parallelizes over contiguous candidate ranges. The reduction
 /// keeps the **first** strictly-best candidate in ascending candidate
 /// order — exactly the serial scan's winner — so the factorization is
 /// bit-identical at any worker count. Inside a worker of an enclosing
-/// parallel region the scan silently runs serial (nested scopes are
-/// illegal and pointless).
+/// parallel region the scan silently runs serial (nested parallel runs
+/// are illegal and pointless).
 pub fn asso_on(
     m: &BoolMatrix,
     f: usize,
     params: &AssoParams,
-    workers: Workers<'_>,
+    pool: &Pool,
 ) -> (BoolMatrix, BoolMatrix) {
-    asso_counted(m, f, params, workers, None)
+    asso_counted(m, f, params, pool, None)
 }
 
 pub(crate) fn asso_counted(
     m: &BoolMatrix,
     f: usize,
     params: &AssoParams,
-    workers: Workers<'_>,
+    pool: &Pool,
     counters: Option<&FactorizeCounters>,
 ) -> (BoolMatrix, BoolMatrix) {
     assert!(f >= 1, "factorization degree must be at least 1");
@@ -155,11 +154,7 @@ pub(crate) fn asso_counted(
             &uniform
         }
     };
-    let workers = if in_worker() {
-        Workers::Transient(Parallelism::Serial)
-    } else {
-        workers
-    };
+    let threads = if in_worker() { 1 } else { pool.threads() };
 
     let candidates = candidate_basis(m, params);
     let wtab = WsumTable::build(weights);
@@ -202,7 +197,7 @@ pub(crate) fn asso_counted(
     let mut covered = vec![0u64; n];
 
     let tasks = if candidates.len() >= 16 {
-        workers.worker_count().min(candidates.len()).max(1)
+        threads.min(candidates.len()).max(1)
     } else {
         1
     };
@@ -214,7 +209,8 @@ pub(crate) fn asso_counted(
         // Chunk-local first-best under strict `>`, reduced over chunks
         // in ascending order under strict `>`: equals the serial
         // first-best for any chunking.
-        let locals: Vec<Option<(f64, u64)>> = workers.run(tasks, |t| {
+        // One task runs inline, so this is legal inside a worker.
+        let locals: Vec<Option<(f64, u64)>> = pool.run(tasks, |t| {
             let lo = t * chunk;
             let hi = ((t + 1) * chunk).min(candidates.len());
             let mut best: Option<(f64, u64)> = None;
@@ -409,17 +405,11 @@ pub fn asso_sweep(
     thresholds: &[f64],
     base: &AssoParams,
 ) -> (BoolMatrix, BoolMatrix) {
-    asso_sweep_on(
-        m,
-        f,
-        thresholds,
-        base,
-        Workers::Transient(Parallelism::Serial),
-    )
+    asso_sweep_on(m, f, thresholds, base, &Pool::new(1))
 }
 
-/// [`asso_sweep`] with an explicit execution context, passed down to
-/// each per-threshold [`asso_on`] run. The threshold loop itself stays
+/// [`asso_sweep`] on a worker pool, passed down to each
+/// per-threshold [`asso_on`] run. The threshold loop itself stays
 /// serial (the per-round candidate scans inside it are the hot part),
 /// so the winning factorization is the serial one verbatim.
 pub fn asso_sweep_on(
@@ -427,9 +417,9 @@ pub fn asso_sweep_on(
     f: usize,
     thresholds: &[f64],
     base: &AssoParams,
-    workers: Workers<'_>,
+    pool: &Pool,
 ) -> (BoolMatrix, BoolMatrix) {
-    asso_sweep_counted(m, f, thresholds, base, workers, None)
+    asso_sweep_counted(m, f, thresholds, base, pool, None)
 }
 
 pub(crate) fn asso_sweep_counted(
@@ -437,7 +427,7 @@ pub(crate) fn asso_sweep_counted(
     f: usize,
     thresholds: &[f64],
     base: &AssoParams,
-    workers: Workers<'_>,
+    pool: &Pool,
     counters: Option<&FactorizeCounters>,
 ) -> (BoolMatrix, BoolMatrix) {
     let uniform;
@@ -454,7 +444,7 @@ pub(crate) fn asso_sweep_counted(
             threshold: t,
             ..base.clone()
         };
-        let (b, c) = asso_counted(m, f, &params, workers, counters);
+        let (b, c) = asso_counted(m, f, &params, pool, counters);
         let err = weighted_error(&b.or_product(&c), m, weights);
         if best.as_ref().is_none_or(|(e, _, _)| err < *e) {
             best = Some((err, b, c));
@@ -578,8 +568,7 @@ mod tests {
                 for f in [1, 2, 3] {
                     let serial = asso(m, f, &p);
                     for threads in [2, 4, 7] {
-                        let par =
-                            asso_on(m, f, &p, Workers::Transient(Parallelism::Threads(threads)));
+                        let par = asso_on(m, f, &p, &Pool::new(threads));
                         assert_eq!(serial, par, "f={f} threads={threads} weighted={weighted}");
                     }
                 }

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use blasys_par::{in_worker, Parallelism, Workers};
+use blasys_par::{in_worker, Pool};
 
 use crate::asso::{asso_sweep_counted, AssoParams};
 use crate::grecon::grecond;
@@ -212,12 +212,13 @@ impl Factorizer {
     ///
     /// Panics if `f == 0`.
     pub fn factorize(&self, m: &BoolMatrix, f: usize) -> Factorization {
-        self.factorize_on(m, f, Workers::Transient(Parallelism::Serial))
+        self.factorize_on(m, f, &Pool::new(1))
     }
 
-    /// [`factorize`](Factorizer::factorize) with an explicit execution
-    /// context: candidate scoring (heuristic path) and basis
-    /// enumeration (exhaustive tiny-instance path) run on `workers`.
+    /// [`factorize`](Factorizer::factorize) on a worker pool: candidate
+    /// scoring (heuristic path) and basis enumeration (exhaustive
+    /// tiny-instance path) run on `pool`, or serially when called from
+    /// inside one of its workers.
     ///
     /// The result is **bit-identical at any worker count** — both
     /// parallel reductions keep the first best under the serial scan
@@ -228,21 +229,21 @@ impl Factorizer {
     /// # Panics
     ///
     /// Panics if `f == 0`.
-    pub fn factorize_on(&self, m: &BoolMatrix, f: usize, workers: Workers<'_>) -> Factorization {
+    pub fn factorize_on(&self, m: &BoolMatrix, f: usize, pool: &Pool) -> Factorization {
         let t0 = Instant::now();
-        let fac = self.factorize_inner(m, f, workers);
+        let fac = self.factorize_inner(m, f, pool);
         if let Some(c) = &self.counters {
             c.factorize_ns.observe(t0.elapsed().as_nanos() as u64);
         }
         fac
     }
 
-    fn factorize_inner(&self, m: &BoolMatrix, f: usize, workers: Workers<'_>) -> Factorization {
+    fn factorize_inner(&self, m: &BoolMatrix, f: usize, pool: &Pool) -> Factorization {
         assert!(f >= 1, "factorization degree must be at least 1");
         let cols = m.num_cols();
         if f < cols && cols <= 5 && m.num_rows() <= 64 && matches!(self.algebra, Algebra::SemiRing)
         {
-            return self.exact_small(m, f, workers);
+            return self.exact_small(m, f, pool);
         }
         if f >= cols {
             // Identity factorization: B = M (padded), C = I (padded).
@@ -262,14 +263,7 @@ impl Factorizer {
                             refine_rounds: self.refine_rounds,
                             ..AssoParams::default()
                         };
-                        asso_sweep_counted(
-                            m,
-                            f,
-                            thresholds,
-                            &base,
-                            workers,
-                            self.counters.as_deref(),
-                        )
+                        asso_sweep_counted(m, f, thresholds, &base, pool, self.counters.as_deref())
                     }
                     Algorithm::GreConD => grecond(m, f),
                 };
@@ -373,7 +367,7 @@ impl Factorizer {
     /// serial order and the reduction keeps the first strictly-lowest
     /// error in ascending first-index order — exactly the serial scan's
     /// winner, at any worker count.
-    fn exact_small(&self, m: &BoolMatrix, f: usize, workers: Workers<'_>) -> Factorization {
+    fn exact_small(&self, m: &BoolMatrix, f: usize, pool: &Pool) -> Factorization {
         let cols = m.num_cols();
         let n = m.num_rows();
         let uniform;
@@ -394,11 +388,6 @@ impl Factorizer {
             s
         };
         let patterns: Vec<u64> = (1u64..1 << cols).collect();
-        let workers = if in_worker() {
-            Workers::Transient(Parallelism::Serial)
-        } else {
-            workers
-        };
         // Enumerate combinations of `f` basis patterns (with smaller
         // index first to avoid permutations).
         fn combos(
@@ -419,7 +408,7 @@ impl Factorizer {
         }
         type Best = Option<(f64, Vec<u64>, Vec<u64>)>;
         let firsts = patterns.len() - (f - 1);
-        let locals: Vec<(u64, Best)> = workers.run(firsts, |i0| {
+        let scan = |i0: usize| {
             let mut best: Best = None;
             let mut scored = 0u64;
             let mut eval = |chosen: &[usize]| {
@@ -454,7 +443,14 @@ impl Factorizer {
             basis[0] = i0;
             combos(&patterns, &mut basis, 1, i0 + 1, &mut eval);
             (scored, best)
-        });
+        };
+        // Inside a worker of an enclosing parallel region the scan
+        // runs serially (nested parallel runs are rejected).
+        let locals: Vec<(u64, Best)> = if in_worker() {
+            (0..firsts).map(scan).collect()
+        } else {
+            pool.run(firsts, scan)
+        };
         let mut best: Best = None;
         let mut scored = 0u64;
         for (s, local) in locals {
@@ -579,7 +575,6 @@ mod tests {
 
     #[test]
     fn factorize_on_is_bit_identical_across_worker_counts() {
-        use blasys_par::{Parallelism, Workers};
         // Heuristic path (6 cols) and exhaustive tiny path (4 cols).
         let wide = BoolMatrix::from_fn(40, 6, |i, j| (i * 5 + j * j) % 3 == 0);
         let tiny = BoolMatrix::from_fn(16, 4, |i, j| (i >> j) & 1 == 1 || i % 5 == j);
@@ -587,11 +582,7 @@ mod tests {
             for f in 1..m.num_cols() {
                 let serial = Factorizer::new().factorize(m, f);
                 for threads in [2, 4, 8] {
-                    let par = Factorizer::new().factorize_on(
-                        m,
-                        f,
-                        Workers::Transient(Parallelism::Threads(threads)),
-                    );
+                    let par = Factorizer::new().factorize_on(m, f, &Pool::new(threads));
                     assert_eq!(serial, par, "cols={} f={f} threads={threads}", m.num_cols());
                 }
             }
@@ -614,8 +605,7 @@ mod tests {
         let registry2 = blasys_obs::Registry::default();
         let counters2 = Arc::new(FactorizeCounters::register(&registry2));
         let fz2 = Factorizer::new().with_counters(counters2);
-        use blasys_par::{Parallelism, Workers};
-        let _ = fz2.factorize_on(&m, 2, Workers::Transient(Parallelism::Threads(4)));
+        let _ = fz2.factorize_on(&m, 2, &Pool::new(4));
         assert_eq!(
             snap.counter("bmf.candidates_scored"),
             registry2.snapshot().counter("bmf.candidates_scored")

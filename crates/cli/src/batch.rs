@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use blasys_bench::print_table;
 use blasys_core::report::metric_name;
 use blasys_core::session::FlowSession;
-use blasys_par::{par_run, Parallelism};
+use blasys_par::{Parallelism, Pool};
 
 use crate::opts::{
     parse_blif_file, parse_thresholds, require, set_positional, value, CliError, FlowOpts,
@@ -60,19 +60,20 @@ pub fn main(args: &[String]) -> Result<(), CliError> {
     }
 
     // Circuits are the parallel axis here, so each individual flow must
-    // stay serial (the pool rejects nested parallel scopes). Unlike the
+    // stay serial (the pool rejects nested parallel runs). Unlike the
     // single-circuit commands, batch defaults to one worker per
-    // hardware thread.
-    let pool = opts
+    // hardware thread, and never spawns more workers than circuits.
+    let par = opts
         .parallelism
         .unwrap_or_else(|| match std::env::var("BLASYS_THREADS") {
             Ok(s) => Parallelism::parse(&s),
             Err(_) => Parallelism::Auto,
         });
+    let pool = Pool::new(par.worker_count().min(files.len()));
     eprintln!(
         "{} circuits on {} worker(s), metric {}, threshold{} {}",
         files.len(),
-        pool.worker_count(),
+        pool.threads(),
         metric_name(opts.metric),
         if multi { "s" } else { "" },
         ladder
@@ -83,7 +84,7 @@ pub fn main(args: &[String]) -> Result<(), CliError> {
     );
 
     let root = opts.span("batch");
-    let results: Vec<Result<Vec<Vec<String>>, String>> = par_run(pool, files.len(), |fi| {
+    let results: Vec<Result<Vec<Vec<String>>, String>> = pool.run(files.len(), |fi| {
         let path = &files[fi];
         let shown = path.file_name().unwrap_or_default().to_string_lossy();
         let run = || -> Result<Vec<Vec<String>>, CliError> {

@@ -72,7 +72,7 @@ FLOW OPTIONS (run / certify / profile / sweep / batch):
                             reports carry the rounded count [default: 10000]
     --seed <S>              Stimulus RNG seed [default: 2980385332]
     --limits <KxM>          Decomposition window limits [default: 10x10]
-    --threads <N>           Worker threads: N, 0 or `auto` (batch defaults to auto,
+    --threads <N>           Worker threads: N <= 1024, 0 or `auto` (batch defaults to auto,
                             everything else to $BLASYS_THREADS or serial)
     --progress              Stream stage / window / trajectory progress to stderr
     --trace-out <PATH>      Write a chrome://tracing JSON trace of the whole

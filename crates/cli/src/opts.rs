@@ -52,6 +52,10 @@ impl CliError {
     }
 }
 
+/// The largest `--threads` count accepted: well above the hardware
+/// threads of common hosts, well below what the OS allows a process.
+pub const MAX_THREADS: usize = 1024;
+
 /// The flow options shared by `run`, `certify`, `profile`, `sweep` and
 /// `batch`.
 pub struct FlowOpts {
@@ -153,11 +157,15 @@ impl FlowOpts {
             }
             "--threads" => {
                 // Parallelism::parse maps garbage to Serial — fine for
-                // the env var, but an explicit flag must reject typos.
+                // the env var, but an explicit flag must reject typos,
+                // and a pool spawns every worker up front, so a count
+                // past MAX_THREADS is a typo too.
                 let v = value(args, i)?;
-                if !v.eq_ignore_ascii_case("auto") && v.trim().parse::<usize>().is_err() {
+                let valid = v.eq_ignore_ascii_case("auto")
+                    || v.trim().parse::<usize>().is_ok_and(|n| n <= MAX_THREADS);
+                if !valid {
                     return Err(CliError::usage(format!(
-                        "invalid --threads `{v}` (expected a number, 0 or `auto`)"
+                        "invalid --threads `{v}` (expected 0..={MAX_THREADS} or `auto`)"
                     )));
                 }
                 self.parallelism = Some(Parallelism::parse(v));

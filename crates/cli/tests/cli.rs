@@ -362,6 +362,24 @@ fn unapproximable_circuit_exits_2_with_flow_error_text() {
 }
 
 #[test]
+fn dead_logic_runs_to_completion() {
+    // A live `y = i0·i1` plus a dead XOR chain over i2..i7: at 4×4 the
+    // chain's tail would form a window with no outputs, which has
+    // nothing to factorize.
+    let dir = scratch("dead-logic");
+    let dead = dir.join("dead.blif");
+    let mut blif = String::from(".model dead\n.inputs i0 i1 i2 i3 i4 i5 i6 i7\n.outputs y\n");
+    blif.push_str(".names i0 i1 y\n11 1\n.names i2 i3 x3\n10 1\n01 1\n");
+    for k in 4..8 {
+        blif.push_str(&format!(".names x{} i{k} x{k}\n10 1\n01 1\n", k - 1));
+    }
+    blif.push_str(".end\n");
+    std::fs::write(&dead, blif).unwrap();
+    let out = blasys(&[&["run", dead.to_str().unwrap(), "--limits", "4x4"], FAST].concat());
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+}
+
+#[test]
 fn malformed_blif_exits_1() {
     let dir = scratch("malformed");
     let bad = dir.join("bad.blif");
@@ -385,6 +403,7 @@ fn usage_errors_exit_2() {
         vec!["run", "x.blif", "--bogus"],                 // unknown flag
         vec!["run", "x.blif", "--metric", "nope"],        // bad metric
         vec!["run", "x.blif", "--threads", "many"],       // bad thread count
+        vec!["run", "x.blif", "--threads", "100000"],     // thread count past the cap
         vec!["sweep", "x.blif", "--format", "yaml"],      // bad format
         vec!["frobnicate"],                               // unknown command
         vec!["run", "x.blif", "--explorer", "beam:0"],    // zero-width beam

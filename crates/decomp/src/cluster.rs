@@ -6,7 +6,9 @@
 //! affinity gain — fewest new boundary inputs, most internalized
 //! outputs — while the `(≤ k inputs, ≤ m outputs)` bound holds. The
 //! result is a partition whose cluster sequence is a topological order
-//! of the cluster DAG.
+//! of the cluster DAG. A cluster that ends up driving no primary output
+//! and no other cluster holds only dead logic; it is dropped, so every
+//! cluster has at least one output.
 
 use std::collections::HashSet;
 
@@ -88,11 +90,13 @@ impl Cluster {
     }
 }
 
-/// A complete decomposition of a netlist's gates into clusters.
+/// A decomposition of a netlist's gates into clusters: every live gate
+/// (one in the cone of a primary output) is in exactly one cluster;
+/// dead gates are too, unless their whole cluster was dead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     clusters: Vec<Cluster>,
-    /// `cluster_of[node] = Some(cluster index)` for gate nodes.
+    /// `cluster_of[node] = Some(cluster index)` for clustered gates.
     cluster_of: Vec<Option<usize>>,
     max_inputs: usize,
     max_outputs: usize,
@@ -124,9 +128,10 @@ impl Partition {
         (self.max_inputs, self.max_outputs)
     }
 
-    /// Verify the partition: every gate in exactly one cluster, every
-    /// boundary within limits, interfaces consistent with the netlist,
-    /// and the cluster sequence topologically ordered.
+    /// Verify the partition: every gate in at most one cluster and
+    /// every live gate in exactly one, every boundary within limits and
+    /// with at least one output, and the cluster sequence
+    /// topologically ordered.
     ///
     /// # Errors
     ///
@@ -141,14 +146,18 @@ impl Partition {
                 }
                 seen[n.index()] = true;
             }
-            if c.inputs.len() > self.max_inputs || c.outputs.len() > self.max_outputs {
+            if c.inputs.len() > self.max_inputs
+                || c.outputs.is_empty()
+                || c.outputs.len() > self.max_outputs
+            {
                 return Err(LogicError::InvalidNode {
                     index: c.nodes.first().map(|n| n.index()).unwrap_or(0),
                 });
             }
         }
-        for (id, node) in nl.iter() {
-            if node.kind().is_gate() && !seen[id.index()] {
+        let roots: Vec<NodeId> = nl.outputs().iter().map(|o| o.node()).collect();
+        for id in nl.cone(&roots) {
+            if nl.node(id).kind().is_gate() && !seen[id.index()] {
                 return Err(LogicError::InvalidNode { index: id.index() });
             }
         }
@@ -192,6 +201,25 @@ impl Partition {
 
     pub(crate) fn clusters_mut(&mut self) -> &mut Vec<Cluster> {
         &mut self.clusters
+    }
+
+    /// Drop every cluster without outputs. Its gates drive no primary
+    /// output and no other cluster, so they are dead; they leave the
+    /// partition, and the remaining clusters keep their order and
+    /// interfaces.
+    fn drop_dead_clusters(&mut self) {
+        let mut index = vec![None; self.clusters.len()];
+        let mut kept = Vec::with_capacity(self.clusters.len());
+        for (ci, c) in std::mem::take(&mut self.clusters).into_iter().enumerate() {
+            if !c.outputs.is_empty() {
+                index[ci] = Some(kept.len());
+                kept.push(c);
+            }
+        }
+        for slot in &mut self.cluster_of {
+            *slot = slot.and_then(|ci| index[ci]);
+        }
+        self.clusters = kept;
     }
 }
 
@@ -437,6 +465,9 @@ pub fn decompose(nl: &Netlist, cfg: &DecompConfig) -> Partition {
             break;
         }
     }
+    // A zero-output window has nothing to approximate and cannot be
+    // factorized.
+    part.drop_dead_clusters();
     part
 }
 
@@ -534,6 +565,31 @@ mod tests {
         let part = decompose(&nl, &DecompConfig::default());
         assert!(part.is_empty());
         assert!(part.validate(&nl).is_ok());
+    }
+
+    #[test]
+    fn dead_logic_never_forms_a_zero_output_cluster() {
+        // A live `y = i0·i1` next to a dead XOR chain over i2..i7: at
+        // 4×4 the chain's tail would form a cluster driving nothing.
+        let mut nl = Netlist::new("dead");
+        let i = input_bus(&mut nl, "i", 8);
+        let i = i.bits();
+        let y = nl.and(i[0], i[1]);
+        nl.mark_output("y", y);
+        let mut x = nl.xor(i[2], i[3]);
+        for &pi in &i[4..] {
+            x = nl.xor(x, pi);
+        }
+        let cfg = DecompConfig {
+            max_inputs: 4,
+            max_outputs: 4,
+            ..DecompConfig::default()
+        };
+        let part = decompose(&nl, &cfg);
+        assert!(part.validate(&nl).is_ok());
+        assert!(part.clusters().iter().all(|c| !c.outputs().is_empty()));
+        assert_eq!(part.cluster_of(y), Some(0));
+        assert_eq!(part.cluster_of(x), None, "the dead sink is unclustered");
     }
 
     #[test]

@@ -78,9 +78,9 @@ pub fn verify_netlist(nl: &Netlist) -> Result<(), Vec<Diagnostic>> {
 }
 
 /// Verify that `partition` is a well-formed decomposition of `nl`:
-/// every gate covered exactly once by disjoint windows, boundaries
-/// within the `(k, m)` limits, and the cluster sequence topologically
-/// ordered.
+/// every live gate covered exactly once by disjoint windows, every
+/// window with at least one output, boundaries within the `(k, m)`
+/// limits, and the cluster sequence topologically ordered.
 ///
 /// # Errors
 ///
@@ -98,14 +98,17 @@ pub fn verify_partition(nl: &Netlist, partition: &Partition) -> Result<(), Vec<D
             ),
         ));
     }
-    let covered: usize = partition.clusters().iter().map(|c| c.len()).sum();
-    let gates = nl.gate_count();
-    if covered != gates {
-        diags.push(Diagnostic::new(
-            PARTITION_INVARIANT,
-            Severity::Error,
-            format!("partition covers {covered} gates, netlist has {gates}"),
-        ));
+    for (ci, c) in partition.clusters().iter().enumerate() {
+        if c.outputs().is_empty() {
+            diags.push(Diagnostic::new(
+                PARTITION_INVARIANT,
+                Severity::Error,
+                format!(
+                    "cluster {ci} ({} gates) has no outputs: dead logic cannot be factorized",
+                    c.len()
+                ),
+            ));
+        }
     }
     finish(diags)
 }
@@ -235,6 +238,36 @@ mod tests {
         narrowed.mark_output("g", a);
         let diags = verify_interface(&nl, &narrowed).unwrap_err();
         assert!(diags.iter().any(|d| d.lint == INTERFACE), "{diags:?}");
+    }
+
+    #[test]
+    fn zero_output_cluster_is_rejected() {
+        // `d` is a primary output while decomposing, then dead in the
+        // netlist the interfaces are recomputed against.
+        let build = |d_is_output: bool| {
+            let mut nl = Netlist::new("dead");
+            let [a, b, c, e] = ["a", "b", "c", "e"].map(|n| nl.add_input(n));
+            let y = nl.and(a, b);
+            let d = nl.xor(c, e);
+            nl.mark_output("y", y);
+            if d_is_output {
+                nl.mark_output("d", d);
+            }
+            nl
+        };
+        let cfg = DecompConfig {
+            max_inputs: 2,
+            ..DecompConfig::default()
+        };
+        let mut p = decompose(&build(true), &cfg);
+        assert_eq!(p.len(), 2);
+        let dead = build(false);
+        p.recompute_interfaces(&dead);
+        let diags = verify_partition(&dead, &p).unwrap_err();
+        assert!(
+            diags.iter().any(|d| d.message.contains("has no outputs")),
+            "{diags:?}"
+        );
     }
 
     #[test]

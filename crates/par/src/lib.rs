@@ -1,22 +1,21 @@
-//! Scoped work-stealing thread pool for the BLASYS flow.
+//! Persistent work-stealing thread pool for the BLASYS flow.
 //!
 //! The flow's hot loops — per-window BMF profiling and the per-step
-//! candidate sweep of the greedy exploration — are embarrassingly
+//! candidate sweep of every exploration engine — are embarrassingly
 //! parallel: every task reads a shared immutable model and writes only
-//! its own result slot. This crate provides the minimal execution
-//! layer they need, built entirely on [`std::thread::scope`] (the
-//! build environment has no access to crates.io, so no `rayon`):
+//! its own result slot. This crate provides the one execution layer
+//! they need, built on plain `std` threads (the build environment has
+//! no access to crates.io, so no `rayon`):
 //!
-//! * [`Parallelism`] — the user-facing knob (`Serial`, `Threads(n)`,
-//!   `Auto`), threaded through the `Blasys` builder and readable from
-//!   the `BLASYS_THREADS` environment variable;
-//! * [`par_run`] / [`par_run_with`] / [`par_run_states`] — fork-join
-//!   map over task indices `0..n`, returning results **in task order**
-//!   regardless of which worker executed what. `par_run_with` gives
-//!   every worker a scratch state reused across all tasks the worker
-//!   executes; `par_run_states` borrows caller-owned states so they
-//!   also survive *between* fork-joins (the Monte-Carlo probe overlay
-//!   reused across every exploration step).
+//! * [`Parallelism`] — the user-facing spelling of a worker count
+//!   (`Serial`, `Threads(n)`, `Auto`), readable from the
+//!   `BLASYS_THREADS` environment variable;
+//! * [`Pool`] — persistent workers spawned once and reused by any
+//!   number of fork-join maps over task indices `0..n`
+//!   ([`Pool::run`], [`Pool::run_states`]), returning results **in
+//!   task order** regardless of which worker executed what. A
+//!   one-worker pool spawns no thread and runs every map inline on the
+//!   caller: that is the serial path.
 //!
 //! # Scheduling
 //!
@@ -30,10 +29,12 @@
 //! # Panics and nesting
 //!
 //! A panic in any task aborts the remaining work and is re-raised on
-//! the caller's thread with its original payload. Nested *parallel*
-//! scopes are rejected (a task spawning another parallel `par_run`
-//! would deadlock-prone oversubscribe the pool); running a `Serial`
-//! map inside a worker is always allowed.
+//! the caller's thread with its original payload; the workers survive
+//! it. Nested *parallel* maps are rejected (a task starting another
+//! parallel run would deadlock-prone oversubscribe the machine);
+//! running a one-task map, or any map on a one-worker pool, inside a
+//! worker is always allowed. Code that may run on a worker checks
+//! [`in_worker`] and falls back to a serial loop.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -45,7 +46,8 @@ use blasys_obs::{Counter, Gauge, Registry};
 /// How much parallelism a flow phase may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Single-threaded execution on the calling thread (no pool).
+    /// Single-threaded execution on the calling thread (a one-worker
+    /// [`Pool`], which spawns no thread).
     Serial,
     /// A fixed number of worker threads (`Threads(1)` ≡ `Serial`).
     Threads(usize),
@@ -99,8 +101,8 @@ impl Default for Parallelism {
 }
 
 thread_local! {
-    /// Set while the current thread is a pool worker: parallel
-    /// scopes must not nest.
+    /// Set while the current thread is a pool worker: parallel runs
+    /// must not nest.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -108,155 +110,6 @@ thread_local! {
 pub fn in_worker() -> bool {
     IN_WORKER.with(|w| w.get())
 }
-
-/// Run `f(0..tasks)` under `par`, returning results in task order.
-///
-/// # Panics
-///
-/// Re-raises the first task panic on the calling thread. Panics if
-/// called with a parallel setting from inside a pool worker (nested
-/// scopes are rejected).
-pub fn par_run<R, F>(par: Parallelism, tasks: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_run_with(par, tasks, || (), |(), i| f(i))
-}
-
-/// Like [`par_run`], but every worker gets a scratch state built by
-/// `init` and passed mutably to each of its tasks. Use this for
-/// allocation-heavy per-thread scratch built fresh per call; when the
-/// same states should survive *across* calls (e.g. one Monte-Carlo
-/// probe overlay per worker reused over every exploration step), build
-/// them once and use [`par_run_states`] instead.
-///
-/// # Panics
-///
-/// Same contract as [`par_run`].
-pub fn par_run_with<S, R, I, F>(par: Parallelism, tasks: usize, init: I, f: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    I: Fn() -> S,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    if tasks == 0 {
-        return Vec::new();
-    }
-    let workers = par.worker_count().min(tasks);
-    let mut states: Vec<S> = (0..workers).map(|_| init()).collect();
-    par_run_states(par, tasks, &mut states, f)
-}
-
-/// Like [`par_run`], but worker `w` borrows `states[w]` mutably for
-/// every task it executes. The states survive the call, so hot loops
-/// can hoist them out and reuse them across many fork-joins — no
-/// per-call allocation. `states` must hold at least
-/// `min(par.worker_count(), tasks)` entries (extras are unused).
-///
-/// # Panics
-///
-/// Same contract as [`par_run`]; additionally panics if `states` has
-/// fewer entries than the resolved worker count.
-pub fn par_run_states<S, R, F>(par: Parallelism, tasks: usize, states: &mut [S], f: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    if tasks == 0 {
-        return Vec::new();
-    }
-    let workers = par.worker_count().min(tasks);
-    assert!(
-        states.len() >= workers,
-        "par_run_states needs one state per worker ({} < {workers})",
-        states.len()
-    );
-    if workers <= 1 {
-        // Serial fast path: no scope, no queues; legal inside a worker.
-        let state = &mut states[0];
-        return (0..tasks).map(|i| f(state, i)).collect();
-    }
-    assert!(
-        !in_worker(),
-        "nested blasys-par parallel scope: a pool task attempted to start \
-         another parallel par_run (use Parallelism::Serial for inner maps)"
-    );
-
-    // One deque per worker, seeded with contiguous chunks so each
-    // worker starts on a cache-friendly run of neighboring tasks.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            let lo = tasks * w / workers;
-            let hi = tasks * (w + 1) / workers;
-            Mutex::new((lo..hi).collect())
-        })
-        .collect();
-    let abort = AtomicBool::new(false);
-    let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    let mut results: Vec<Option<R>> = (0..tasks).map(|_| None).collect();
-    let mut done: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = states[..workers]
-            .iter_mut()
-            .enumerate()
-            .map(|(w, state)| {
-                let queues = &queues;
-                let abort = &abort;
-                let panic_payload = &panic_payload;
-                let f = &f;
-                scope.spawn(move || {
-                    IN_WORKER.with(|g| g.set(true));
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    while !abort.load(Ordering::Relaxed) {
-                        let Some((task, _stolen)) = next_task(queues, w) else {
-                            break;
-                        };
-                        match catch_unwind(AssertUnwindSafe(|| f(state, task))) {
-                            Ok(r) => local.push((task, r)),
-                            Err(e) => {
-                                abort.store(true, Ordering::Relaxed);
-                                *panic_payload.lock().unwrap() = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    IN_WORKER.with(|g| g.set(false));
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(local) => done.push(local),
-                Err(e) => {
-                    // Worker died outside `catch_unwind` (shouldn't
-                    // happen, but don't lose the payload if it does).
-                    abort.store(true, Ordering::Relaxed);
-                    let mut slot = panic_payload.lock().unwrap();
-                    slot.get_or_insert(e);
-                }
-            }
-        }
-    });
-    if let Some(payload) = panic_payload.lock().unwrap().take() {
-        resume_unwind(payload);
-    }
-    for (i, r) in done.into_iter().flatten() {
-        results[i] = Some(r);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every task produced a result"))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Persistent pool
-// ---------------------------------------------------------------------------
 
 /// Per-worker scheduling counters and a queue-depth gauge for a
 /// [`Pool`], registered in a [`blasys_obs::Registry`].
@@ -319,14 +172,14 @@ struct JobSlot {
     epoch: u64,
     /// The in-flight job, cleared when the last worker finishes it.
     job: Option<Job>,
-    /// Workers still active on the current job.
+    /// Count of workers still active on the current job.
     remaining: usize,
     shutdown: bool,
 }
 
 struct PoolShared {
     slot: Mutex<JobSlot>,
-    /// Workers wait here for a new job (or shutdown).
+    /// Idle workers wait here for a new job (or shutdown).
     job_ready: Condvar,
     /// Submitters wait here for job completion (or a free slot).
     job_done: Condvar,
@@ -341,7 +194,7 @@ struct JobCtx<'a, S, R, F> {
     /// One slot per task; each task index is written exactly once.
     results: *mut Option<R>,
     queues: &'a [Mutex<VecDeque<usize>>],
-    /// Workers with index `>= active` have no queue and do nothing.
+    /// A worker with index `>= active` has no queue and does nothing.
     active: usize,
     abort: &'a AtomicBool,
     panic_payload: &'a Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -425,17 +278,13 @@ fn pool_worker(shared: &PoolShared, w: usize) {
 
 /// A persistent fork-join pool: worker threads are created **once**
 /// and reused across any number of [`Pool::run`] / [`Pool::run_states`]
-/// calls, instead of being re-spawned per fork-join like the scoped
-/// [`par_run`] family.
-///
-/// Scheduling, result ordering, panic propagation, and the
-/// nested-scope rejection are identical to [`par_run_states`]; the
-/// only difference is thread lifetime. A flow session builds one pool
-/// at open time and drives its profiling and every exploration sweep
-/// through it.
+/// calls (see the [crate docs](crate) for scheduling, panics and
+/// nesting). A flow session builds one pool at open time and drives
+/// its profiling and every exploration sweep through it.
 ///
 /// `Pool::new(n)` with `n <= 1` spawns no threads at all — every run
-/// executes inline on the caller (the serial path).
+/// executes inline on the caller (the serial path). Several threads
+/// may submit to one pool at once; their jobs run one after another.
 pub struct Pool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -517,8 +366,9 @@ impl Pool {
     ///
     /// # Panics
     ///
-    /// Same contract as [`par_run`]: re-raises the first task panic on
-    /// the caller, and rejects parallel runs from inside a pool worker.
+    /// Re-raises the first task panic on the caller. Panics if called
+    /// from inside a pool worker with more than one task on a
+    /// multi-worker pool (nested parallel runs are rejected).
     pub fn run<R, F>(&self, tasks: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -528,13 +378,17 @@ impl Pool {
         self.run_states(tasks, &mut states, |(), i| f(i))
     }
 
-    /// Like [`par_run_states`], but on the persistent workers: worker
-    /// `w` borrows `states[w]` mutably for every task it executes, and
-    /// the states survive between calls.
+    /// Like [`Pool::run`], but worker `w` borrows `states[w]` mutably
+    /// for every task it executes. The states survive the call, so hot
+    /// loops can hoist them out and reuse them across many fork-joins
+    /// (the Monte-Carlo probe overlay reused over every exploration
+    /// step) with no per-call allocation. `states` must hold at least
+    /// `min(self.threads(), tasks)` entries (extras are unused).
     ///
     /// # Panics
     ///
-    /// Same contract as [`par_run_states`].
+    /// Same contract as [`Pool::run`]; additionally panics if `states`
+    /// has fewer entries than the active worker count.
     pub fn run_states<S, R, F>(&self, tasks: usize, states: &mut [S], f: F) -> Vec<R>
     where
         S: Send,
@@ -561,8 +415,9 @@ impl Pool {
              another parallel run (use the serial path for inner maps)"
         );
 
-        // Same seeding as `par_run_states`: contiguous chunks per
-        // active worker, stealing drains imbalance.
+        // One deque per active worker, seeded with contiguous chunks
+        // so each worker starts on a cache-friendly run of neighboring
+        // tasks; stealing drains imbalance.
         let queues: Vec<Mutex<VecDeque<usize>>> = (0..active)
             .map(|w| {
                 let lo = tasks * w / active;
@@ -623,6 +478,14 @@ impl Pool {
     }
 }
 
+/// A pool sized by [`Parallelism::default`], i.e. by the
+/// `BLASYS_THREADS` environment variable (unset → one worker, inline).
+impl Default for Pool {
+    fn default() -> Pool {
+        Pool::with_parallelism(Parallelism::default())
+    }
+}
+
 impl Drop for Pool {
     fn drop(&mut self) {
         {
@@ -633,61 +496,6 @@ impl Drop for Pool {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-/// How a flow phase executes its parallel map: spawn scoped workers
-/// for this one call ([`par_run_states`]), or reuse a persistent
-/// [`Pool`]. Phases written against `Workers` run identically on
-/// either — the pool only changes thread lifetime, never results.
-#[derive(Debug, Clone, Copy)]
-pub enum Workers<'a> {
-    /// Scoped threads spawned and joined inside the call.
-    Transient(Parallelism),
-    /// A caller-owned persistent pool.
-    Pooled(&'a Pool),
-}
-
-impl Workers<'_> {
-    /// The worker count this execution context resolves to.
-    pub fn worker_count(&self) -> usize {
-        match self {
-            Workers::Transient(p) => p.worker_count(),
-            Workers::Pooled(pool) => pool.threads(),
-        }
-    }
-
-    /// Run `f(0..tasks)`, returning results in task order. Same
-    /// contract as [`par_run`].
-    pub fn run<R, F>(&self, tasks: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        match self {
-            Workers::Transient(p) => par_run(*p, tasks, f),
-            Workers::Pooled(pool) => pool.run(tasks, f),
-        }
-    }
-
-    /// Run with caller-owned per-worker states. Same contract as
-    /// [`par_run_states`].
-    pub fn run_states<S, R, F>(&self, tasks: usize, states: &mut [S], f: F) -> Vec<R>
-    where
-        S: Send,
-        R: Send,
-        F: Fn(&mut S, usize) -> R + Sync,
-    {
-        match self {
-            Workers::Transient(p) => par_run_states(*p, tasks, states, f),
-            Workers::Pooled(pool) => pool.run_states(tasks, states, f),
-        }
-    }
-}
-
-impl From<Parallelism> for Workers<'static> {
-    fn from(par: Parallelism) -> Workers<'static> {
-        Workers::Transient(par)
     }
 }
 
@@ -724,6 +532,15 @@ mod tests {
     use std::thread::ThreadId;
     use std::time::Duration;
 
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .map(String::from)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
     #[test]
     fn results_are_in_task_order() {
         for par in [
@@ -732,7 +549,8 @@ mod tests {
             Parallelism::Threads(5),
             Parallelism::Auto,
         ] {
-            let got = par_run(par, 33, |i| i * i);
+            let pool = Pool::with_parallelism(par);
+            let got = pool.run(33, |i| i * i);
             let want: Vec<usize> = (0..33).map(|i| i * i).collect();
             assert_eq!(got, want, "{par:?}");
         }
@@ -740,11 +558,8 @@ mod tests {
 
     #[test]
     fn zero_tasks_and_more_workers_than_tasks() {
-        assert_eq!(
-            par_run(Parallelism::Threads(4), 0, |i| i),
-            Vec::<usize>::new()
-        );
-        assert_eq!(par_run(Parallelism::Threads(8), 2, |i| i + 1), vec![1, 2]);
+        assert_eq!(Pool::new(4).run(0, |i| i), Vec::<usize>::new());
+        assert_eq!(Pool::new(8).run(2, |i| i + 1), vec![1, 2]);
     }
 
     #[test]
@@ -755,9 +570,10 @@ mod tests {
         // must drain both chunks via stealing for task 0 to ever see
         // `done == 15` before the timeout.
         const TASKS: usize = 16;
+        let pool = Pool::new(2);
         let done = AtomicUsize::new(0);
         let ran_by: Mutex<Vec<(usize, ThreadId)>> = Mutex::new(Vec::new());
-        let results = par_run(Parallelism::Threads(2), TASKS, |i| {
+        let results = pool.run(TASKS, |i| {
             ran_by
                 .lock()
                 .unwrap()
@@ -777,8 +593,8 @@ mod tests {
         assert_eq!(results, (0..TASKS).collect::<Vec<_>>());
         let ran_by = ran_by.lock().unwrap();
         let threads: HashSet<ThreadId> = ran_by.iter().map(|&(_, t)| t).collect();
-        // On a heavily loaded machine the second worker's thread may
-        // only get scheduled after the first drained everything; the
+        // On a heavily loaded machine the second worker may only pick
+        // up the job after the first drained everything; the
         // distribution claim is meaningful (and deterministic) exactly
         // when both workers ran: a worker's first pop is its own
         // queue's front (task 0 for worker 0), and task 0 cannot
@@ -799,39 +615,112 @@ mod tests {
     }
 
     #[test]
-    fn worker_state_is_reused_within_a_worker() {
-        // Each worker's state counts the tasks it executed; the total
-        // across workers must equal the task count and no state may be
-        // created more than once per worker.
-        let inits = AtomicUsize::new(0);
-        let counts = par_run_with(
-            Parallelism::Threads(3),
-            64,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |count, _i| {
-                *count += 1;
-                *count
-            },
-        );
-        assert_eq!(counts.len(), 64);
-        // `counts[i]` is the per-worker running count at task i; the
-        // max per worker sums to 64. Weak but meaningful: at least one
-        // worker saw a running count > 1, proving state reuse.
-        assert!(counts.iter().any(|&c| c > 1));
-        assert!(
-            inits.load(Ordering::Relaxed) <= 3,
-            "at most one init per worker"
-        );
+    fn too_few_states_is_rejected() {
+        let pool = Pool::new(4);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let mut states = vec![0usize; 1];
+            pool.run_states(16, &mut states, |st, i| {
+                *st += 1;
+                i
+            })
+        }));
+        assert!(caught.is_err(), "one state cannot serve four workers");
+        // The rejection happens before any job is installed: the pool
+        // still serves the next run.
+        assert_eq!(pool.run(3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
-    fn caller_owned_states_survive_across_calls() {
-        let mut states = vec![0usize; Parallelism::Threads(3).worker_count()];
+    fn panics_propagate_with_their_payload() {
+        let pool = Pool::new(2);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(8, |i| {
+                if i == 5 {
+                    panic!("task five exploded");
+                }
+                i
+            })
+        }));
+        let payload = caught.expect_err("panic must propagate");
+        let msg = panic_message(payload.as_ref());
+        assert!(msg.contains("task five exploded"), "payload: {msg}");
+    }
+
+    #[test]
+    fn nested_parallel_scopes_are_rejected() {
+        // An inner *parallel* run from inside a worker is rejected,
+        // whichever multi-worker pool it targets.
+        let outer = Pool::new(2);
+        let inner = Pool::new(2);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            outer.run(4, |i| inner.run(4, |j| i + j))
+        }));
+        let payload = caught.expect_err("nested parallel run must panic");
+        let msg = panic_message(payload.as_ref());
+        assert!(msg.contains("nested"), "payload: {msg}");
+    }
+
+    #[test]
+    fn nested_serial_maps_are_allowed() {
+        let outer = Pool::new(2);
+        let serial = Pool::new(1);
+        let got = outer.run(4, |i| serial.run(3, |j| i * 10 + j));
+        assert_eq!(got[2], vec![20, 21, 22]);
+    }
+
+    #[test]
+    fn worker_count_resolution() {
+        assert_eq!(Parallelism::Serial.worker_count(), 1);
+        assert_eq!(Parallelism::Threads(7).worker_count(), 7);
+        assert_eq!(Parallelism::Threads(0).worker_count(), 1);
+        assert!(Parallelism::Auto.worker_count() >= 1);
+        assert_eq!(Pool::with_parallelism(Parallelism::Threads(3)).threads(), 3);
+        assert_eq!(Pool::new(0).threads(), 1);
+    }
+
+    #[test]
+    fn pool_matches_scoped_results_across_many_jobs() {
+        // Every job on one pool matches the serial map.
+        let pool = Pool::new(3);
+        for round in 0..5usize {
+            let got = pool.run(37, |i| i * i + round);
+            let want: Vec<usize> = (0..37).map(|i| i * i + round).collect();
+            assert_eq!(got, want, "round {round}");
+        }
+    }
+
+    #[test]
+    fn pool_serves_two_submitting_threads() {
+        // Two threads submitting to one pool (as the daemon does when
+        // several requests explore one cached session) queue behind
+        // each other's jobs; every result stays complete and ordered.
+        let pool = Pool::new(3);
+        std::thread::scope(|scope| {
+            for submitter in 0..2usize {
+                let pool = &pool;
+                scope.spawn(move || {
+                    for round in 0..200usize {
+                        let tasks = 1 + (round * 7 + submitter) % 40;
+                        let mut states = vec![0usize; 3];
+                        let got = pool.run_states(tasks, &mut states, |st, i| {
+                            *st += 1;
+                            (submitter, round, i)
+                        });
+                        let want: Vec<_> = (0..tasks).map(|i| (submitter, round, i)).collect();
+                        assert_eq!(got, want, "submitter {submitter} round {round}");
+                        assert_eq!(states.iter().sum::<usize>(), tasks);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn pool_states_survive_between_jobs() {
+        let pool = Pool::new(3);
+        let mut states = vec![0usize; 3];
         for round in 1..=4 {
-            let got = par_run_states(Parallelism::Threads(3), 30, &mut states, |st, i| {
+            let got = pool.run_states(30, &mut states, |st, i| {
                 *st += 1;
                 i
             });
@@ -843,89 +732,32 @@ mod tests {
     }
 
     #[test]
-    fn too_few_states_is_rejected() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut states = vec![0usize; 1];
-            par_run_states(Parallelism::Threads(4), 16, &mut states, |st, i| {
-                *st += 1;
-                i
-            })
-        }));
-        assert!(caught.is_err(), "one state cannot serve four workers");
-    }
-
-    #[test]
-    fn panics_propagate_with_their_payload() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_run(Parallelism::Threads(2), 8, |i| {
-                if i == 5 {
-                    panic!("task five exploded");
-                }
-                i
-            })
-        }));
-        let payload = caught.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("task five exploded"), "payload: {msg}");
-    }
-
-    #[test]
-    fn nested_parallel_scopes_are_rejected() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_run(Parallelism::Threads(2), 4, |i| {
-                // Inner *parallel* map from inside a worker: rejected.
-                par_run(Parallelism::Threads(2), 4, |j| i + j)
-            })
-        }));
-        let payload = caught.expect_err("nested parallel scope must panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("nested"), "payload: {msg}");
-    }
-
-    #[test]
-    fn nested_serial_maps_are_allowed() {
-        let got = par_run(Parallelism::Threads(2), 4, |i| {
-            par_run(Parallelism::Serial, 3, |j| i * 10 + j)
+    fn worker_state_is_reused_within_a_worker() {
+        // Each worker's state counts the tasks it executed within one
+        // run; the counts must sum to the task count, and at least one
+        // worker must have seen a running count > 1, proving its state
+        // is carried from task to task rather than rebuilt.
+        let pool = Pool::new(3);
+        let mut states = vec![0usize; pool.threads()];
+        let counts = pool.run_states(64, &mut states, |count, _i| {
+            *count += 1;
+            *count
         });
-        assert_eq!(got[2], vec![20, 21, 22]);
+        assert_eq!(counts.len(), 64);
+        assert!(counts.iter().any(|&c| c > 1));
+        assert_eq!(states.iter().sum::<usize>(), 64);
     }
 
     #[test]
-    fn worker_count_resolution() {
-        assert_eq!(Parallelism::Serial.worker_count(), 1);
-        assert_eq!(Parallelism::Threads(7).worker_count(), 7);
-        assert_eq!(Parallelism::Threads(0).worker_count(), 1);
-        assert!(Parallelism::Auto.worker_count() >= 1);
-    }
-
-    #[test]
-    fn pool_matches_scoped_results_across_many_jobs() {
-        let pool = Pool::new(3);
-        for round in 0..5usize {
-            let got = pool.run(37, |i| i * i + round);
-            let want: Vec<usize> = (0..37).map(|i| i * i + round).collect();
-            assert_eq!(got, want, "round {round}");
-        }
-        // Zero tasks and more workers than tasks behave like par_run.
-        assert_eq!(pool.run(0, |i| i), Vec::<usize>::new());
-        assert_eq!(pool.run(2, |i| i + 1), vec![1, 2]);
-    }
-
-    #[test]
-    fn pool_states_survive_between_jobs() {
-        let pool = Pool::new(3);
-        let mut states = vec![0usize; 3];
+    fn caller_owned_states_survive_across_calls() {
+        // The states belong to the caller, not to a pool: they keep
+        // their values across runs on different pools, parallel and
+        // serial alike.
+        let parallel = Pool::with_parallelism(Parallelism::Threads(3));
+        let serial = Pool::with_parallelism(Parallelism::Serial);
+        let mut states = vec![0usize; parallel.threads()];
         for round in 1..=4 {
+            let pool = if round % 2 == 0 { &serial } else { &parallel };
             let got = pool.run_states(30, &mut states, |st, i| {
                 *st += 1;
                 i
@@ -954,50 +786,24 @@ mod tests {
                 i
             })
         }));
-        let payload = caught.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("pool task three exploded"), "payload: {msg}");
+        assert!(caught.is_err(), "panic must propagate");
         // The workers survived the panic and serve the next job.
         assert_eq!(pool.run(4, |i| i), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn pool_rejects_nested_parallel_runs() {
+        // Re-entering the same pool from one of its own workers.
         let pool = Pool::new(2);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(4, |i| par_run(Parallelism::Threads(2), 4, move |j| i + j))
+            pool.run(4, |i| pool.run(4, move |j| i + j))
         }));
-        let payload = caught.expect_err("nested parallel scope must panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let payload = caught.expect_err("nested parallel run must panic");
+        let msg = panic_message(payload.as_ref());
         assert!(msg.contains("nested"), "payload: {msg}");
-        // Serial inner maps remain legal on pool workers.
-        let got = pool.run(4, |i| par_run(Parallelism::Serial, 3, move |j| i * 10 + j));
-        assert_eq!(got[2], vec![20, 21, 22]);
-    }
-
-    #[test]
-    fn workers_enum_runs_both_paths_identically() {
-        let pool = Pool::new(4);
-        let want: Vec<usize> = (0..50).map(|i| i * 7).collect();
-        for workers in [
-            Workers::Transient(Parallelism::Threads(4)),
-            Workers::Pooled(&pool),
-        ] {
-            assert_eq!(workers.run(50, |i| i * 7), want);
-            assert!(workers.worker_count() >= 4);
-            let mut states = vec![0usize; workers.worker_count().min(50)];
-            assert_eq!(workers.run_states(50, &mut states, |_, i| i * 7), want);
-        }
+        // A one-task inner map runs inline and stays legal.
+        let got = pool.run(4, |i| pool.run(1, move |j| i * 10 + j));
+        assert_eq!(got[2], vec![20]);
     }
 
     #[test]

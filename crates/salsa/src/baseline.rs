@@ -8,7 +8,7 @@ use blasys_decomp::{
     Partition,
 };
 use blasys_logic::{Netlist, NodeId, TruthTable};
-use blasys_par::{par_run, Parallelism};
+use blasys_par::{Parallelism, Pool};
 use blasys_synth::estimate::{estimate, EstimateConfig};
 use blasys_synth::{
     gate_cost, map_sop, minimize_column, shannon_columns, CellLibrary, DesignMetrics,
@@ -101,9 +101,12 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
         .map(|c| cluster_truth_table(nl, c))
         .collect();
 
+    // One pool for both parallel maps below, each over the clusters:
+    // no more workers than clusters.
+    let pool = Pool::new(cfg.parallelism.worker_count().min(tables.len()));
     // Ladders per (cluster, column) — independent minimization
     // problems, built in parallel.
-    let ladders: Vec<Vec<Vec<ColumnVariant>>> = par_run(cfg.parallelism, tables.len(), |ci| {
+    let ladders: Vec<Vec<Vec<ColumnVariant>>> = pool.run(tables.len(), |ci| {
         let tt = &tables[ci];
         (0..tt.num_outputs())
             .map(|col| column_ladder(tt, col, cfg.ladder_steps, &cfg.espresso))
@@ -130,7 +133,7 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
     let order = column_order(nl, &partition);
 
     // Current per-cluster replacement cost (exact = original gates).
-    let mut cost_now: Vec<usize> = par_run(cfg.parallelism, partition.len(), |ci| {
+    let mut cost_now: Vec<usize> = pool.run(partition.len(), |ci| {
         gate_cost(&build_cluster_impl(
             nl,
             &partition,
@@ -141,6 +144,8 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
             &cfg.espresso,
         ))
     });
+    // The greedy walk below is sequential: release the workers.
+    drop(pool);
 
     let mut moves = 0usize;
     let mut probe = evaluator.probe_state();

@@ -12,6 +12,7 @@
 //! in-flight requests drain before [`Server::run`] returns.
 
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -192,11 +193,34 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
             guard.recv()
         };
         match conn {
-            Ok(conn) => {
-                handle_connection(shared, conn);
-                shared.metrics.inflight.add(-1);
-            }
+            Ok(conn) => contain(&shared.metrics.inflight, conn, |conn| {
+                handle_connection(shared, conn)
+            }),
             Err(_) => break, // accept loop gone and queue drained
+        }
+    }
+}
+
+/// Run `handle` on one admitted connection and give its admission slot
+/// back on `inflight` however the handler ends. A panic stays inside
+/// its request: the client gets a 500 on a cloned stream where one can
+/// still be written, and the worker thread lives on to serve the next.
+fn contain(inflight: &Gauge, conn: TcpStream, handle: impl FnOnce(TcpStream)) {
+    struct Slot<'a>(&'a Gauge);
+    impl Drop for Slot<'_> {
+        fn drop(&mut self) {
+            self.0.add(-1);
+        }
+    }
+    let _slot = Slot(inflight);
+    let spare = conn.try_clone();
+    if catch_unwind(AssertUnwindSafe(|| handle(conn))).is_err() {
+        if let Ok(mut spare) = spare {
+            let body = Json::obj([
+                ("error", Json::str("internal")),
+                ("message", Json::str("the request handler panicked")),
+            ]);
+            let _ = write_json(&mut spare, 500, "Internal Server Error", &body.to_string());
         }
     }
 }
@@ -770,5 +794,27 @@ impl FlowObserver for StreamBridge {
             ),
             ("model_area_um2", Json::Num(point.model_area_um2)),
         ]));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    #[test]
+    fn a_panicking_handler_gives_its_slot_back_and_answers_500() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let inflight = Gauge::default();
+        inflight.add(3);
+        // Admission takes a slot; the handler panics before releasing it.
+        inflight.add(1);
+        contain(&inflight, conn, |_conn| panic!("handler exploded"));
+        assert_eq!(inflight.get(), 3, "the panicking request leaked its slot");
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 500"), "{response}");
     }
 }

@@ -14,7 +14,7 @@
 //! | [`sat`] | `blasys-sat` | CDCL solver, miters, certified error bounds |
 //! | [`circuits`] | `blasys-circuits` | the paper's benchmark generators |
 //! | [`salsa`] | `blasys-salsa` | SALSA comparison baseline |
-//! | [`par`] | `blasys-par` | scoped work-stealing thread pool |
+//! | [`par`] | `blasys-par` | persistent work-stealing thread pool |
 //! | [`obs`] | `blasys-obs` | spans, metrics registry, flight recorder |
 //! | [`serve`] | `blasys-serve` | HTTP service with a content-addressed session cache |
 //!

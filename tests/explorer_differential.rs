@@ -22,7 +22,7 @@ use blasys_repro::blasys::montecarlo::{Evaluator, McConfig};
 use blasys_repro::blasys::profile::{profile_partition, ProfileConfig, SubcircuitProfile};
 use blasys_repro::decomp::{decompose, DecompConfig};
 use blasys_repro::logic::Netlist;
-use blasys_repro::par::Parallelism;
+use blasys_repro::par::{Parallelism, Pool};
 use proptest::prelude::*;
 
 /// Small decomposition windows so random netlists split into several
@@ -78,7 +78,7 @@ fn setup(nl: &Netlist, seed: u64) -> Option<(Vec<SubcircuitProfile>, Evaluator)>
     if part.is_empty() {
         return None;
     }
-    let profiles = profile_partition(nl, &part, &ProfileConfig::default());
+    let profiles = profile_partition(nl, &part, &ProfileConfig::default(), &Pool::default());
     let ev = Evaluator::new(nl, &part, &McConfig { samples: 512, seed });
     Some((profiles, ev))
 }
@@ -87,9 +87,10 @@ fn run(
     base: &Evaluator,
     profiles: &[SubcircuitProfile],
     cfg: &ExploreConfig,
+    pool: &Pool,
 ) -> Vec<TrajectoryPoint> {
     let mut ev = base.clone();
-    explore(&mut ev, profiles, cfg)
+    explore(&mut ev, profiles, cfg, pool)
 }
 
 /// Full bit-identity over every trajectory field, float fields
@@ -137,13 +138,15 @@ proptest! {
         let Some((profiles, base)) = setup(&nl, seed) else { return; };
         for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
             for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+                let pool = Pool::with_parallelism(parallelism);
                 for prune in [true, false] {
-                    let common = ExploreConfig { stop, parallelism, prune, ..ExploreConfig::default() };
-                    let greedy = run(&base, &profiles, &common);
+                    let common = ExploreConfig { stop, prune, ..ExploreConfig::default() };
+                    let greedy = run(&base, &profiles, &common, &pool);
                     let beam = run(
                         &base,
                         &profiles,
                         &ExploreConfig { explorer: Explorer::Beam { width: 1 }, ..common },
+                        &pool,
                     );
                     let label = format!("{stop:?}/{parallelism:?}/prune={prune}");
                     same_trajectory!(&label, &greedy, &beam);
@@ -163,23 +166,24 @@ proptest! {
             &profiles,
             &ExploreConfig {
                 stop: StopCriterion::ErrorThreshold(0.08),
-                parallelism: Parallelism::Serial,
                 explorer: Explorer::Anneal(schedule),
                 ..ExploreConfig::default()
             },
+            &Pool::new(1),
         );
         for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+            let pool = Pool::with_parallelism(parallelism);
             for prune in [true, false] {
                 let other = run(
                     &base,
                     &profiles,
                     &ExploreConfig {
                         stop: StopCriterion::ErrorThreshold(0.08),
-                        parallelism,
                         prune,
                         explorer: Explorer::Anneal(schedule),
                         ..ExploreConfig::default()
                     },
+                    &pool,
                 );
                 let label = format!("anneal {parallelism:?}/prune={prune}");
                 same_trajectory!(&label, &reference, &other);
@@ -193,12 +197,14 @@ proptest! {
     #[test]
     fn pareto3_error_axis_never_worse_than_greedy(nl in arb_netlist(), seed in any::<u64>()) {
         let Some((profiles, base)) = setup(&nl, seed) else { return; };
-        let greedy = run(&base, &profiles, &ExploreConfig::default());
+        let pool = Pool::default();
+        let greedy = run(&base, &profiles, &ExploreConfig::default(), &pool);
         let mut ev = base.clone();
         let exploration = explore_full(
             &mut ev,
             &profiles,
             &ExploreConfig { explorer: Explorer::Pareto3, ..ExploreConfig::default() },
+            &pool,
         );
         let p3 = exploration.trajectory();
         prop_assert_eq!(p3.len(), greedy.len());

@@ -11,7 +11,7 @@ use blasys_repro::blasys::profile::{profile_partition, ProfileConfig};
 use blasys_repro::blasys::Blasys;
 use blasys_repro::decomp::{decompose, DecompConfig};
 use blasys_repro::logic::Netlist;
-use blasys_repro::par::Parallelism;
+use blasys_repro::par::{Parallelism, Pool};
 use proptest::prelude::*;
 
 /// Random small netlist built from a script of gate operations (same
@@ -85,17 +85,12 @@ proptest! {
         let mc = McConfig { samples: 1024, seed };
         // Profiles once (shared); the parallel claim under test here is
         // the explore sweep.
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_partition(&nl, &part, &ProfileConfig::default(), &Pool::default());
         let mut ev_serial = Evaluator::new(&nl, &part, &mc);
         let mut ev_threaded = Evaluator::new(&nl, &part, &mc);
-        let serial = explore(&mut ev_serial, &profiles, &ExploreConfig {
-            parallelism: Parallelism::Serial,
-            ..ExploreConfig::default()
-        });
-        let threaded = explore(&mut ev_threaded, &profiles, &ExploreConfig {
-            parallelism: Parallelism::Threads(4),
-            ..ExploreConfig::default()
-        });
+        let cfg = ExploreConfig::default();
+        let serial = explore(&mut ev_serial, &profiles, &cfg, &Pool::new(1));
+        let threaded = explore(&mut ev_threaded, &profiles, &cfg, &Pool::new(4));
         assert_trajectories_identical(&serial, &threaded);
     }
 
@@ -107,16 +102,11 @@ proptest! {
         if part.is_empty() {
             return;
         }
-        // Baseline parallelism pinned explicitly: the default honors
+        // Baseline pool pinned explicitly: `Pool::default()` honors
         // BLASYS_THREADS, which the CI parallel job sets.
-        let serial = profile_partition(&nl, &part, &ProfileConfig {
-            parallelism: Parallelism::Serial,
-            ..ProfileConfig::default()
-        });
-        let threaded = profile_partition(&nl, &part, &ProfileConfig {
-            parallelism: Parallelism::Threads(4),
-            ..ProfileConfig::default()
-        });
+        let cfg = ProfileConfig::default();
+        let serial = profile_partition(&nl, &part, &cfg, &Pool::new(1));
+        let threaded = profile_partition(&nl, &part, &cfg, &Pool::new(4));
         prop_assert_eq!(serial.len(), threaded.len());
         for (s, t) in serial.iter().zip(&threaded) {
             prop_assert_eq!(s.cluster, t.cluster);
@@ -141,6 +131,10 @@ fn full_flow_threads_matches_serial_on_multiplier() {
         .seed(9)
         .parallelism(Parallelism::Serial)
         .run(&nl);
-    let threaded = Blasys::new().samples(1024).seed(9).threads(4).run(&nl);
+    let threaded = Blasys::new()
+        .samples(1024)
+        .seed(9)
+        .parallelism(Parallelism::Threads(4))
+        .run(&nl);
     assert_trajectories_identical(serial.trajectory(), threaded.trajectory());
 }

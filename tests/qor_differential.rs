@@ -12,7 +12,7 @@ use blasys_repro::blasys::profile::{profile_partition, ProfileConfig};
 use blasys_repro::blasys::qor::{QorMetric, QorReport};
 use blasys_repro::decomp::{decompose, DecompConfig};
 use blasys_repro::logic::Netlist;
-use blasys_repro::par::Parallelism;
+use blasys_repro::par::{Parallelism, Pool};
 use proptest::prelude::*;
 
 /// Small decomposition windows so the random netlists split into
@@ -146,12 +146,10 @@ proptest! {
                 .map(|c| ev.qor_probe_reference(&mut st, c, &mutated_rows(&ev, c, seed)))
                 .collect()
         };
-        let packed = blasys_repro::par::par_run_with(
-            Parallelism::Threads(4),
-            n,
-            || ev.probe_state(),
-            |st, c| ev.qor_probe(st, c, &mutated_rows(&ev, c, seed)),
-        );
+        let mut states: Vec<_> = (0..4).map(|_| ev.probe_state()).collect();
+        let packed = Pool::new(4).run_states(n, &mut states, |st, c| {
+            ev.qor_probe(st, c, &mutated_rows(&ev, c, seed))
+        });
         prop_assert_eq!(scalar, packed);
     }
 
@@ -210,12 +208,10 @@ proptest! {
                     .map(|c| ev.qor_probe_reference(&mut st, c, &mutated_rows(&ev, c, seed)))
                     .collect()
             };
-            let threaded = blasys_repro::par::par_run_with(
-                Parallelism::Threads(4),
-                n,
-                || ev.probe_state(),
-                |st, c| ev.qor_probe(st, c, &mutated_rows(&ev, c, seed)),
-            );
+            let mut states: Vec<_> = (0..4).map(|_| ev.probe_state()).collect();
+            let threaded = Pool::new(4).run_states(n, &mut states, |st, c| {
+                ev.qor_probe(st, c, &mutated_rows(&ev, c, seed))
+            });
             prop_assert_eq!(scalar, threaded, "threaded, samples {}", samples);
         }
     }
@@ -230,23 +226,22 @@ proptest! {
             return;
         }
         let mc = McConfig { samples: 1024, seed };
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_partition(&nl, &part, &ProfileConfig::default(), &Pool::default());
         for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
             for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+                let pool = Pool::with_parallelism(parallelism);
                 let mut ev_pruned = Evaluator::new(&nl, &part, &mc);
                 let mut ev_plain = Evaluator::new(&nl, &part, &mc);
                 let pruned = explore(&mut ev_pruned, &profiles, &ExploreConfig {
                     stop,
-                    parallelism,
                     prune: true,
                     ..ExploreConfig::default()
-                });
+                }, &pool);
                 let plain = explore(&mut ev_plain, &profiles, &ExploreConfig {
                     stop,
-                    parallelism,
                     prune: false,
                     ..ExploreConfig::default()
-                });
+                }, &pool);
                 prop_assert_eq!(pruned.len(), plain.len());
                 for (s, p) in pruned.iter().zip(&plain) {
                     prop_assert_eq!(s.changed_cluster, p.changed_cluster);
